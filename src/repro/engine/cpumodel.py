@@ -126,12 +126,15 @@ class CpuContentionModel:
     def release(self, draw: float, now: float) -> None:
         """A task drawing ``draw`` cores finished."""
         self._advance(now)
-        self._demand = max(self._base_load, self._demand - draw)
+        demand = self._demand - draw
+        self._demand = demand if demand > self._base_load else self._base_load
 
     def _advance(self, now: float) -> None:
         dt = now - self._last_time
         if dt > 0:
-            self._usage_integral += self.usage() * dt
+            # usage(), inlined: this runs twice per simulated stage
+            ratio = self._demand / self.cores
+            self._usage_integral += (ratio if ratio < 1.0 else 1.0) * dt
             self._last_time = now
 
     # -- monitoring ----------------------------------------------------------------

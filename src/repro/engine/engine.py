@@ -32,7 +32,7 @@ from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 from repro.engine.cpumodel import CpuContentionModel
 from repro.engine.gpu import GpuModel
-from repro.engine.metrics import EngineRunResult, MetricsCollector, POOL_NAMES
+from repro.engine.metrics import EngineRunResult, MetricsCollector, POOL_NAMES, RequestTrace
 from repro.engine.tasks import TaskType
 from repro.testbed.network import NetworkPath
 from repro.utils.seeding import derive_seed, spawn_rng
@@ -42,6 +42,18 @@ __all__ = ["IdentificationEngine", "simulate_engine", "EngineRunResult"]
 #: inter-arrival gaps drawn per batch in open-loop mode — large enough to
 #: amortize the numpy call, small enough that short runs don't over-draw.
 _ARRIVAL_BATCH = 256
+#: service-noise factors drawn per batch (six per simulated request).
+_NOISE_BATCH = 512
+
+_PRE_PROCESS = TaskType.PRE_PROCESS
+_WAIT_DOWNLOAD = TaskType.WAIT_DOWNLOAD
+_DOWNLOAD = TaskType.DOWNLOAD
+_WAIT_EXTRACT = TaskType.WAIT_EXTRACT
+_EXTRACT = TaskType.EXTRACT
+_PROCESS = TaskType.PROCESS
+_WAIT_SIMSEARCH = TaskType.WAIT_SIMSEARCH
+_SIMSEARCH = TaskType.SIMSEARCH
+_POST_PROCESS = TaskType.POST_PROCESS
 
 
 class IdentificationEngine:
@@ -98,6 +110,8 @@ class IdentificationEngine:
         }
         self.metrics = MetricsCollector(self.workload.warmup, trace=trace)
         self._rng = spawn_rng(self.seed)
+        #: undrawn service-noise factors, next one last (see :meth:`_noise`).
+        self._noise_buf: list[float] = []
         # Pre-computed lognormal noise parameters (mean 1, given CV).
         cv = self.params.service_cv
         if cv > 0:
@@ -111,9 +125,21 @@ class IdentificationEngine:
     # -- service-time noise -------------------------------------------------------
 
     def _noise(self) -> float:
-        if self._sigma == 0.0:
-            return 1.0
-        return float(self._rng.lognormal(self._mu, self._sigma))
+        """The next lognormal service-noise factor (mean 1, CV ``service_cv``).
+
+        Draws come from ``self._rng`` in blocks of :data:`_NOISE_BATCH`: a
+        numpy Generator yields the same sequence batched as one scalar call
+        at a time, and ``_rng`` feeds nothing but this noise, so the values
+        — and every simulated metric — match per-call draws exactly. Values
+        left over in the block when a run ends are never observed.
+        """
+        buf = self._noise_buf
+        if not buf:
+            if self._sigma == 0.0:
+                return 1.0
+            block = self._rng.lognormal(self._mu, self._sigma, size=_NOISE_BATCH)
+            buf.extend(block[::-1].tolist())  # reversed: pop() takes the next draw
+        return buf.pop()
 
     def _delay(self, duration: float) -> Any:
         """A plain virtual delay: raw number on the fast lane, else a Timeout."""
@@ -121,147 +147,190 @@ class IdentificationEngine:
             return duration
         return self.env.timeout(duration)
 
-    # -- pipeline stages ------------------------------------------------------------
-
-    def _cpu_stage(
-        self, task: TaskType, base: float, weight: float
-    ) -> Generator[simcore.Event, None, None]:
-        """A CPU-bound stage.
-
-        A task that would draw ``weight`` cores uncontended is slowed by the
-        current contention factor ``I``: it runs ``I`` times longer while
-        drawing ``weight / I`` cores, keeping its CPU work invariant.
-        """
-        env = self.env
-        slowdown = self.cpu.inflation()
-        draw = weight / slowdown
-        self.cpu.acquire(draw, env.now)
-        try:
-            duration = base * slowdown * self._noise()
-            yield self._delay(duration)
-        finally:
-            self.cpu.release(draw, env.now)
-        self.metrics.record_task(task, duration, env.now)
-
-    def _download_stage(self) -> Generator[simcore.Event, None, None]:
-        """Download: fixed network transfer + CPU-slowed decode part."""
-        env = self.env
-        p = self.params
-        slowdown = self.cpu.inflation()
-        draw = p.w_download / slowdown
-        self.cpu.acquire(draw, env.now)
-        try:
-            network = p.image_bytes / p.download_bandwidth
-            duration = (network + p.t_download_cpu * slowdown) * self._noise()
-            yield self._delay(duration)
-        finally:
-            self.cpu.release(draw, env.now)
-        self.metrics.record_task(TaskType.DOWNLOAD, duration, env.now)
-
-    def _extract_stage(self) -> Generator[simcore.Event, None, None]:
-        """DNN inference: GPU-paced phase, then CPU-side decode phase.
-
-        The GPU phase draws ``w_extract_spin`` cores at GPU pace (CPU
-        contention does not stretch it); the CPU phase behaves like any
-        other CPU stage.
-        """
-        env = self.env
-        p = self.params
-        concurrency = self.gpu.stream_started()
-        start = env.now
-        self.cpu.acquire(p.w_extract_spin, env.now)
-        try:
-            gpu_time = self.gpu.inference_time(concurrency) * self._noise()
-            yield self._delay(gpu_time)
-        finally:
-            self.gpu.stream_finished()
-            self.cpu.release(p.w_extract_spin, env.now)
-
-        slowdown = self.cpu.inflation()
-        draw = p.w_extract / slowdown
-        self.cpu.acquire(draw, env.now)
-        try:
-            yield self._delay(p.t_extract_cpu * slowdown * self._noise())
-        finally:
-            self.cpu.release(draw, env.now)
-        self.metrics.record_task(TaskType.EXTRACT, env.now - start, env.now)
-
     # -- request lifecycle -------------------------------------------------------------
 
     def _lifecycle(self) -> Generator[simcore.Event, None, None]:
-        """One request through the full Table I pipeline."""
+        """One request through the full Table I pipeline.
+
+        Every stage is inlined into this one generator, with hot attributes
+        held in locals: a request costs one generator and no per-stage
+        delegation. The clock only moves across a ``yield``, so ``now`` is
+        read once per resume.
+
+        A CPU-bound stage that would draw ``weight`` cores uncontended is
+        slowed by the current contention factor ``I``: it runs ``I`` times
+        longer while drawing ``weight / I`` cores, keeping its CPU work
+        invariant. Extract is a GPU-paced phase drawing ``w_extract_spin``
+        cores (not stretched by CPU contention), then a CPU-side decode
+        phase like any other CPU stage.
+
+        Wait times, the response and the trace go to the collector in place
+        when the request starts; service times go to ``self.metrics`` as of
+        each stage's end (the hybrid engine swaps collectors between
+        windows while requests are in flight).
+        """
         env = self.env
         p = self.params
         pools = self.pools
         metrics = self.metrics
-        submitted = env.now
+        cpu = self.cpu
+        inflation = cpu.inflation
+        acquire = cpu.acquire
+        release = cpu.release
+        noise = self._noise
+        fast = self._fast_lane
+        timeout = env.timeout
+        tracing = metrics.trace_enabled
         stamps: dict[str, float] = {}
+        submitted = env.now
 
-        def stamp(task: TaskType, start: float) -> None:
-            if metrics.trace_enabled:
-                stamps[str(task)] = env.now - start
-
-        http_req = pools["http"].request()
+        http = pools["http"]
+        http_req = http.request()
         yield http_req
         try:
-            t0 = env.now
-            yield from self._cpu_stage(TaskType.PRE_PROCESS, p.t_preprocess, p.w_http_misc)
-            stamp(TaskType.PRE_PROCESS, t0)
-
-            t0 = env.now
-            dl_req = pools["download"].request()
-            yield dl_req
-            metrics.record_task(TaskType.WAIT_DOWNLOAD, env.now - t0, env.now)
-            stamp(TaskType.WAIT_DOWNLOAD, t0)
+            # pre-process
+            t0 = now = env.now
+            slowdown = inflation()
+            draw = p.w_http_misc / slowdown
+            acquire(draw, now)
             try:
-                t0 = env.now
-                yield from self._download_stage()
-                stamp(TaskType.DOWNLOAD, t0)
+                duration = p.t_preprocess * slowdown * noise()
+                yield duration if fast else timeout(duration)
             finally:
-                pools["download"].release(dl_req)
+                now = env.now
+                release(draw, now)
+            self.metrics.record_task(_PRE_PROCESS, duration, now)
+            if tracing:
+                stamps["pre-process"] = now - t0
 
-            t0 = env.now
-            ex_req = pools["extract"].request()
-            yield ex_req
-            metrics.record_task(TaskType.WAIT_EXTRACT, env.now - t0, env.now)
-            stamp(TaskType.WAIT_EXTRACT, t0)
+            # wait-download, download: network transfer + CPU-slowed decode
+            t0 = now
+            pool = pools["download"]
+            claim = pool.request()
+            yield claim
+            now = env.now
+            metrics.record_task(_WAIT_DOWNLOAD, now - t0, now)
+            if tracing:
+                stamps["wait-download"] = now - t0
             try:
-                t0 = env.now
-                yield from self._extract_stage()
-                stamp(TaskType.EXTRACT, t0)
+                t0 = now
+                slowdown = inflation()
+                draw = p.w_download / slowdown
+                acquire(draw, now)
+                try:
+                    network = p.image_bytes / p.download_bandwidth
+                    duration = (network + p.t_download_cpu * slowdown) * noise()
+                    yield duration if fast else timeout(duration)
+                finally:
+                    now = env.now
+                    release(draw, now)
+                self.metrics.record_task(_DOWNLOAD, duration, now)
+                if tracing:
+                    stamps["download"] = now - t0
             finally:
-                pools["extract"].release(ex_req)
+                pool.release(claim)
 
-            t0 = env.now
-            yield from self._cpu_stage(TaskType.PROCESS, p.t_process, p.w_http_misc)
-            stamp(TaskType.PROCESS, t0)
-
-            t0 = env.now
-            ss_req = pools["simsearch"].request()
-            yield ss_req
-            metrics.record_task(TaskType.WAIT_SIMSEARCH, env.now - t0, env.now)
-            stamp(TaskType.WAIT_SIMSEARCH, t0)
+            # wait-extract, extract: GPU phase, then CPU-side decode phase
+            t0 = now
+            pool = pools["extract"]
+            claim = pool.request()
+            yield claim
+            now = env.now
+            metrics.record_task(_WAIT_EXTRACT, now - t0, now)
+            if tracing:
+                stamps["wait-extract"] = now - t0
             try:
-                t0 = env.now
-                yield from self._cpu_stage(TaskType.SIMSEARCH, p.t_simsearch, p.w_simsearch)
-                stamp(TaskType.SIMSEARCH, t0)
+                gpu = self.gpu
+                concurrency = gpu.stream_started()
+                t0 = now
+                spin = p.w_extract_spin
+                acquire(spin, now)
+                try:
+                    duration = gpu.inference_time(concurrency) * noise()
+                    yield duration if fast else timeout(duration)
+                finally:
+                    gpu.stream_finished()
+                    now = env.now
+                    release(spin, now)
+                slowdown = inflation()
+                draw = p.w_extract / slowdown
+                acquire(draw, now)
+                try:
+                    duration = p.t_extract_cpu * slowdown * noise()
+                    yield duration if fast else timeout(duration)
+                finally:
+                    now = env.now
+                    release(draw, now)
+                self.metrics.record_task(_EXTRACT, now - t0, now)
+                if tracing:
+                    stamps["extract"] = now - t0
             finally:
-                pools["simsearch"].release(ss_req)
+                pool.release(claim)
 
-            t0 = env.now
-            yield from self._cpu_stage(TaskType.POST_PROCESS, p.t_postprocess, p.w_http_misc)
-            stamp(TaskType.POST_PROCESS, t0)
+            # process
+            t0 = now
+            slowdown = inflation()
+            draw = p.w_http_misc / slowdown
+            acquire(draw, now)
+            try:
+                duration = p.t_process * slowdown * noise()
+                yield duration if fast else timeout(duration)
+            finally:
+                now = env.now
+                release(draw, now)
+            self.metrics.record_task(_PROCESS, duration, now)
+            if tracing:
+                stamps["process"] = now - t0
+
+            # wait-simsearch, simsearch
+            t0 = now
+            pool = pools["simsearch"]
+            claim = pool.request()
+            yield claim
+            now = env.now
+            metrics.record_task(_WAIT_SIMSEARCH, now - t0, now)
+            if tracing:
+                stamps["wait-simsearch"] = now - t0
+            try:
+                t0 = now
+                slowdown = inflation()
+                draw = p.w_simsearch / slowdown
+                acquire(draw, now)
+                try:
+                    duration = p.t_simsearch * slowdown * noise()
+                    yield duration if fast else timeout(duration)
+                finally:
+                    now = env.now
+                    release(draw, now)
+                self.metrics.record_task(_SIMSEARCH, duration, now)
+                if tracing:
+                    stamps["simsearch"] = now - t0
+            finally:
+                pool.release(claim)
+
+            # post-process
+            t0 = now
+            slowdown = inflation()
+            draw = p.w_http_misc / slowdown
+            acquire(draw, now)
+            try:
+                duration = p.t_postprocess * slowdown * noise()
+                yield duration if fast else timeout(duration)
+            finally:
+                now = env.now
+                release(draw, now)
+            self.metrics.record_task(_POST_PROCESS, duration, now)
+            if tracing:
+                stamps["post-process"] = now - t0
         finally:
-            pools["http"].release(http_req)
+            http.release(http_req)
 
-        response_time = env.now - submitted + self._client_rtt
-        metrics.record_response(response_time, env.now)
-        if metrics.trace_enabled:
-            from repro.engine.metrics import RequestTrace
-
+        response_time = now - submitted + self._client_rtt
+        metrics.record_response(response_time, now)
+        if tracing:
             metrics.record_trace(
                 RequestTrace(submitted=submitted, response_time=response_time, tasks=stamps),
-                env.now,
+                now,
             )
 
     def _client(self, index: int = 0) -> Generator[simcore.Event, None, None]:
@@ -274,12 +343,13 @@ class IdentificationEngine:
         scenario scaling).
         """
         env = self.env
-        while env.now < self.workload.duration:
+        duration = self.workload.duration
+        while env.now < duration:
             while index >= self._allowed_population:
                 gate = env.event()
                 self._parked[index] = gate
                 yield gate
-                if env.now >= self.workload.duration:
+                if env.now >= duration:
                     return
             yield from self._lifecycle()
 
@@ -312,8 +382,8 @@ class IdentificationEngine:
         duration = self.workload.duration
         rng = spawn_rng(derive_seed(self.seed, "arrivals"))
         while env.now < duration:
-            for gap in rng.exponential(scale, size=_ARRIVAL_BATCH):
-                yield self._delay(float(gap))
+            for gap in rng.exponential(scale, size=_ARRIVAL_BATCH).tolist():
+                yield self._delay(gap)
                 env.process(self._lifecycle(), name="request")
                 if env.now >= duration:
                     return
@@ -374,8 +444,7 @@ class IdentificationEngine:
                     return
                 continue
             scale = 1.0 / rate
-            for gap in rng.exponential(scale, size=_ARRIVAL_BATCH):
-                gap = float(gap)
+            for gap in rng.exponential(scale, size=_ARRIVAL_BATCH).tolist():
                 if env.now + gap >= end and end < duration:
                     carry = (env.now + gap - end) * rate
                     yield self._delay(end - env.now)

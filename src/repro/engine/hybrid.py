@@ -40,7 +40,7 @@ from typing import Any, Generator, Optional
 from repro import simcore
 from repro.engine.analytic import AnalyticEngineModel, OpenEpochResult, iter_epochs
 from repro.engine.config import EngineModelParams, ThreadPoolConfig, WorkloadSpec
-from repro.engine.engine import IdentificationEngine
+from repro.engine.engine import _ARRIVAL_BATCH, IdentificationEngine
 from repro.engine.metrics import EngineRunResult, MetricsCollector, POOL_NAMES
 from repro.engine.schedule import ArrivalSchedule
 from repro.engine.tasks import TaskType
@@ -262,17 +262,19 @@ class HybridEngine:
 
         Each window draws from its own derived stream so windows are
         independent of how many epochs ran fluid in between — the run
-        stays deterministic under any mode sequence.
+        stays deterministic under any mode sequence. Gaps are drawn in
+        batches, which give the same sequence as scalar draws; the stream
+        is discarded with the window, so over-drawing is never observed.
         """
         env = engine.env
         rng = spawn_rng(derive_seed(self.seed, "hybrid", epoch_index))
         scale = 1.0 / rate
         while True:
-            gap = float(rng.exponential(scale))
-            if env.now + gap >= until:
-                return
-            yield engine._delay(gap)
-            env.process(engine._lifecycle(), name="request")
+            for gap in rng.exponential(scale, size=_ARRIVAL_BATCH).tolist():
+                if env.now + gap >= until:
+                    return
+                yield engine._delay(gap)
+                env.process(engine._lifecycle(), name="request")
 
     def _prime(self, engine: IdentificationEngine, count: int) -> None:
         """Inject the fluid model's in-flight cohort at window start.

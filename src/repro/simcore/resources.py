@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Any
 
-from repro.simcore.events import URGENT, Event
+from repro.simcore.events import PENDING, URGENT, Event
 from repro.utils.stats import RunningStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,12 +82,18 @@ class Request(Event):
     __slots__ = ("resource", "priority", "submit_time")
 
     def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        super().__init__(resource.env)
+        # Inlined Event.__init__: a claim is made several times per
+        # simulated request, so it skips the super() call.
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
         self.priority = priority
-        self.submit_time = resource.env.now
-        resource._enqueue(self)
-        resource._grant_pending()
+        self.submit_time = env._now
+        resource._claim(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -144,7 +150,7 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Return a granted claim, or cancel a still-queued one."""
-        self.stats.advance(self.env.now, len(self.users), len(self._queue))
+        self.stats.advance(self.env._now, len(self.users), len(self._queue))
         try:
             self.users.remove(request)
         except ValueError:
@@ -153,20 +159,44 @@ class Resource:
             self._queue_remove(request)
         else:
             self.stats.releases += 1
-            self._grant_pending()
+            if self._queue:
+                self._grant_pending()
+
+    def _claim(self, request: Request) -> None:
+        """Queue a new claim and grant it at once if a unit is free."""
+        # Integrate over the state *before* the claim joins the queue, so a
+        # new request does not count as waiting over the interval since the
+        # pool last changed.
+        self.stats.advance(self.env._now, len(self.users), len(self._queue))
+        self._enqueue(request)
+        self._grant_pending()
 
     def _grant_pending(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            self.stats.advance(self.env.now, len(self.users), len(self._queue))
+        """Grant queued claims while capacity is free.
+
+        Callers integrate the statistics up to now before changing the
+        pool, so every grant here happens at ``dt == 0`` and only counts.
+        Each grant pushes the same ``(now, URGENT, eid)`` heap key as
+        :meth:`Environment.schedule` would.
+        """
+        queue = self._queue
+        users = self.users
+        capacity = self.capacity
+        env = self.env
+        now = env._now
+        stats = self.stats
+        wait_times = stats.wait_times
+        heap = env._queue
+        push = heapq.heappush
+        while queue and len(users) < capacity:
             nxt = self._dequeue()
-            self.users.append(nxt)
-            self.stats.grants += 1
-            self.stats.wait_times.add(self.env.now - nxt.submit_time)
+            users.append(nxt)
+            stats.grants += 1
+            wait_times.add(now - nxt.submit_time)
             nxt._ok = True
             nxt._value = None
-            self.env.schedule(nxt, priority=URGENT)
-        # Account for state as of now even when nothing was granted.
-        self.stats.advance(self.env.now, len(self.users), len(self._queue))
+            env._eid += 1
+            push(heap, (now, URGENT, env._eid, nxt))
 
     # -- statistics -----------------------------------------------------------
 

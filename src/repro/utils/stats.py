@@ -39,12 +39,15 @@ class RunningStats:
         """Accumulate one observation with optional ``weight`` > 0."""
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
-        value = float(value)
+        if type(value) is not float:
+            value = float(value)
         self.count += 1
-        self._weight += weight
+        total = self._weight + weight
+        self._weight = total
         delta = value - self._mean
-        self._mean += (weight / self._weight) * delta
-        self._m2 += weight * delta * (value - self._mean)
+        mean = self._mean + (weight / total) * delta
+        self._mean = mean
+        self._m2 += weight * delta * (value - mean)
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:

@@ -90,6 +90,29 @@ class TestResource:
         assert p.value == "gave-up"
         assert pool.queue_length == 0
 
+    def test_queue_integral_counts_only_time_spent_queued(self):
+        """A request queued at t=10 waits 5 s by t=15, not 15 s."""
+        env = simcore.Environment()
+        pool = simcore.Resource(env, capacity=1)
+
+        def holder(env):
+            with pool.request() as req:
+                yield req
+                yield env.timeout(100.0)
+
+        def late(env):
+            yield env.timeout(10.0)
+            with pool.request() as req:
+                yield req
+
+        env.process(holder(env))
+        env.process(late(env))
+        env.run(until=15.0)
+        assert pool.occupancy() == 1.0
+        assert pool.queue_length == 1
+        assert pool.stats.queue_integral == 5.0
+        assert pool.stats.mean_queue_length(env.now) == pytest.approx(5.0 / 15.0)
+
     @given(capacity=st.integers(1, 5), jobs=st.integers(1, 15), hold=st.floats(0.5, 3.0))
     @settings(max_examples=30, deadline=None)
     def test_invariants(self, capacity, jobs, hold):
