@@ -11,8 +11,8 @@ tell crank, comparing three arms over the same search space and seed:
   drawn eight at a time from a single surrogate fit, refits are throttled
   (``refit_every=8``), the model history is off, and results are lazy.
 - **flat** — refits off the ask path entirely: incremental per-tell
-  ``partial_fit`` updates, full refits on the background worker with
-  parallel tree fitting, over a longer campaign. The payload's
+  ``partial_fit`` updates and full refits on the background worker, over a
+  longer campaign. The payload's
   ``suggest_head`` / ``suggest_tail`` blocks hold the first-window vs
   last-window suggest percentiles; the benchmark asserts the tail stays
   flat (p99 within 2× of the head) as the trial count grows.
@@ -199,7 +199,7 @@ def _run_fast(n: int) -> dict:
 
 def _run_flat(n: int) -> dict:
     """Long campaign with refits off the ask path: incremental per-tell
-    updates plus background full refits with parallel tree fitting. Records
+    updates plus background full refits. Records
     the first-window vs last-window suggest percentiles so the payload can
     show (and the test can assert) that the tail stays flat as trials grow.
     """
@@ -210,7 +210,6 @@ def _run_flat(n: int) -> dict:
         refit_every=REFIT_EVERY,
         incremental=True,
         background_refit=True,
-        fit_jobs=2,
     )
     names = space.names
     suggest_s: list[float] = []

@@ -150,9 +150,6 @@ class Optimizer:
       double-buffer the model — ``ask`` always reads the last published
       fit and a lock-protected attribute swap publishes the new one. Off by
       default: the single-thread path is bit-for-bit reproducible.
-    - ``fit_jobs``: thread count for parallel tree construction inside one
-      forest fit (``None`` = serial, ``-1`` = cores-1). Byte-identical
-      output regardless of the worker count.
     """
 
     def __init__(
@@ -172,7 +169,6 @@ class Optimizer:
         keep_models: int = 0,
         incremental: bool = False,
         background_refit: bool = False,
-        fit_jobs: int | None = None,
         random_state: int | None = None,
     ) -> None:
         self.space = dimensions if isinstance(dimensions, Space) else Space(dimensions)
@@ -186,8 +182,6 @@ class Optimizer:
             raise ValidationError("refit_every must be >= 1")
         if keep_models < 0:
             raise ValidationError("keep_models must be >= 0")
-        if fit_jobs is not None and fit_jobs != -1 and fit_jobs < 1:
-            raise ValidationError("fit_jobs must be >= 1, -1, or None")
         self.base_estimator = base_estimator
         self.n_initial_points = int(n_initial_points)
         self.acq_func = acq_func
@@ -200,7 +194,6 @@ class Optimizer:
         self.keep_models = int(keep_models)
         self.incremental = bool(incremental)
         self.background_refit = bool(background_refit)
-        self.fit_jobs = fit_jobs
         self.rng = np.random.default_rng(random_state)
 
         sampler = get_sampler(initial_point_generator)
@@ -260,13 +253,6 @@ class Optimizer:
         if callable(self.base_estimator):
             return self.base_estimator()
         seed = int(self.rng.integers(0, 2**31))
-        if self.fit_jobs is not None:
-            try:
-                return get_surrogate(
-                    self.base_estimator, random_state=seed, n_jobs=self.fit_jobs
-                )
-            except TypeError:
-                pass  # surrogate without parallel fitting: fall through
         try:
             return get_surrogate(self.base_estimator, random_state=seed)
         except TypeError:

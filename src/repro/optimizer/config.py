@@ -203,8 +203,8 @@ class OptimizerConf:
 
         Unrecognized keys forward to :class:`SurrogateSearch` and on to
         :class:`repro.bayesopt.Optimizer`, so the suggest hot-path knobs —
-        ``batch_size``, ``refit_every``, ``incremental``,
-        ``background_refit``, ``fit_jobs`` — are all configurable here.
+        ``batch_size``, ``refit_every``, ``incremental`` and
+        ``background_refit`` — are all configurable here.
         """
         algo = dict(self.algorithm)
         kind = algo.pop("search", "surrogate").lower()

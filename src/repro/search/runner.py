@@ -847,7 +847,6 @@ def run(
     refit_every: int = 1,
     incremental: bool = False,
     background_refit: bool = False,
-    fit_jobs: int | None = None,
     backend_options: dict[str, Any] | None = None,
 ) -> ExperimentAnalysis:
     """``tune.run``-style entry point.
@@ -858,10 +857,9 @@ def run(
     and ``refit_every`` tune the default searcher's suggest hot path:
     batched asks amortize one surrogate fit over several suggestions, and
     refits are throttled to every ``refit_every`` fresh observations.
-    ``incremental`` / ``background_refit`` / ``fit_jobs`` take the
-    remaining full refits off the ask path entirely (see
-    :class:`repro.bayesopt.Optimizer`; the first two trade bit-exact
-    reproducibility for a flat suggest tail). ``backend_options``
+    ``incremental`` / ``background_refit`` take the remaining full refits
+    off the ask path entirely (see :class:`repro.bayesopt.Optimizer`; both
+    trade bit-exact reproducibility for a flat suggest tail). ``backend_options``
     parameterizes the execution backend (e.g. the ``"store"`` executor's
     ``store_dir``).
     """
@@ -880,7 +878,6 @@ def run(
             refit_every=refit_every,
             incremental=incremental,
             background_refit=background_refit,
-            fit_jobs=fit_jobs,
         )
     runner = TrialRunner(
         trainable,

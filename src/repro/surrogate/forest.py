@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.surrogate.base import SurrogateModel, check_fit_inputs
-from repro.surrogate.tree import _LEAF, DecisionTreeRegressor
+from repro.surrogate.tree import _LEAF, DecisionTreeRegressor, check_max_features
 
 __all__ = ["RandomForestRegressor", "ExtraTreesRegressor"]
 
@@ -34,13 +34,11 @@ class _BaseForest(SurrogateModel):
         max_features: int | Literal["sqrt"] | None = None,
         random_state: int | None = None,
         std_floor: float = 1e-9,
-        n_jobs: int | None = None,
     ) -> None:
         super().__init__()
         if n_estimators < 1:
             raise ValidationError("n_estimators must be >= 1")
-        if n_jobs is not None and n_jobs != -1 and n_jobs < 1:
-            raise ValidationError("n_jobs must be >= 1, -1, or None")
+        check_max_features(max_features)
         self.n_estimators = int(n_estimators)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -48,17 +46,7 @@ class _BaseForest(SurrogateModel):
         self.max_features = max_features
         self.random_state = random_state
         self.std_floor = float(std_floor)
-        self.n_jobs = n_jobs
         self.estimators_: list[DecisionTreeRegressor] = []
-
-    def _worker_count(self) -> int:
-        if self.n_jobs is None:
-            return 1
-        if self.n_jobs == -1:
-            import os
-
-            return max(1, (os.cpu_count() or 1) - 1)
-        return int(self.n_jobs)
 
     def fit(self, X: Any, y: Any) -> "_BaseForest":
         X, y = check_fit_inputs(X, y)
@@ -66,17 +54,16 @@ class _BaseForest(SurrogateModel):
         rng = np.random.default_rng(self.random_state)
         n = len(y)
         # Per-tree randomness (seed stream, bootstrap rows) is drawn
-        # sequentially from the forest rng *before* any tree is fitted, so
-        # the ensemble is byte-identical whether the fits below run serially
-        # or across a thread pool.
+        # sequentially from the forest rng *before* any tree is fitted; this
+        # order fixes the seed stream every fitted ensemble is pinned to.
         specs: list[tuple[np.random.Generator, np.ndarray | None]] = []
         for _ in range(self.n_estimators):
             tree_rng = np.random.default_rng(rng.integers(0, 2**63))
             idx = rng.integers(0, n, size=n) if self._bootstrap else None
             specs.append((tree_rng, idx))
 
-        def _build(spec: tuple[np.random.Generator, np.ndarray | None]) -> DecisionTreeRegressor:
-            tree_rng, idx = spec
+        estimators = []
+        for tree_rng, idx in specs:
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
@@ -89,16 +76,7 @@ class _BaseForest(SurrogateModel):
                 tree.fit(X[idx], y[idx])
             else:
                 tree.fit(X, y)
-            return tree
-
-        workers = min(self._worker_count(), self.n_estimators)
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                estimators = list(pool.map(_build, specs))
-        else:
-            estimators = [_build(spec) for spec in specs]
+            estimators.append(tree)
         self.estimators_ = estimators
         self._pack()
         return self

@@ -15,6 +15,10 @@ needed by gradient boosting's leaf re-estimation) trivial.
 
 from __future__ import annotations
 
+from itertools import compress
+from math import isfinite
+from numbers import Integral
+from operator import itemgetter, not_
 from typing import Any, Literal
 
 import numpy as np
@@ -25,6 +29,26 @@ from repro.surrogate.base import SurrogateModel, check_fit_inputs
 __all__ = ["DecisionTreeRegressor"]
 
 _LEAF = -1
+_EPS = float(np.finfo(float).eps)
+
+
+def check_max_features(max_features: Any) -> None:
+    """Reject a ``max_features`` that is not ``None``, ``"sqrt"`` or an int >= 1."""
+    if max_features is None or max_features == "sqrt":
+        return
+    if isinstance(max_features, bool) or not isinstance(max_features, Integral):
+        raise ValidationError(
+            f"max_features must be None, 'sqrt' or an int >= 1, got {max_features!r}"
+        )
+    if max_features < 1:
+        raise ValidationError(f"max_features must be >= 1, got {max_features}")
+
+
+def _exact_sse(y: np.ndarray, goes_left: np.ndarray) -> float:
+    """Total within-child SSE of one partition, as the numpy reference computes it."""
+    left = y[goes_left]
+    right = y[~goes_left]
+    return float(((left - left.mean()) ** 2).sum() + ((right - right.mean()) ** 2).sum())
 
 
 class DecisionTreeRegressor(SurrogateModel):
@@ -36,7 +60,8 @@ class DecisionTreeRegressor(SurrogateModel):
     - ``min_samples_split`` — minimum samples to attempt a split.
     - ``min_samples_leaf`` — minimum samples in each child.
     - ``max_features`` — number of features considered per split
-      (``None`` = all, ``"sqrt"``, or an int).
+      (``None`` = all, ``"sqrt"``, or an int from 1 to the number of
+      features; a larger int is rejected at fit time).
     - ``splitter`` — ``"best"`` (CART) or ``"random"`` (Extra-Trees rule).
     """
 
@@ -61,6 +86,7 @@ class DecisionTreeRegressor(SurrogateModel):
             raise ValidationError("min_samples_leaf must be >= 1")
         if splitter not in ("best", "random"):
             raise ValidationError(f"unknown splitter {splitter!r}")
+        check_max_features(max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -82,45 +108,94 @@ class DecisionTreeRegressor(SurrogateModel):
     # -- construction -------------------------------------------------------------
 
     def fit(self, X: Any, y: Any) -> "DecisionTreeRegressor":
-        X, y = check_fit_inputs(X, y)
-        self.n_features_ = X.shape[1]
-        self.children_left_ = []
-        self.children_right_ = []
-        self.feature_ = []
-        self.threshold_ = []
-        self.value_ = []
-        self.n_node_samples_ = []
+        """Grow the tree depth-first from per-fit Python lists.
 
-        # Iterative construction with an explicit stack of (indices, depth).
-        stack: list[tuple[np.ndarray, int, int, bool]] = []
-        root = self._new_node(y, np.arange(len(y)))
-        stack.append((np.arange(len(y)), 0, root, True))
+        Nodes carry their sample indices as lists, and each candidate
+        feature's values are gathered once per node, so the per-node work
+        is a handful of list passes instead of dozens of numpy calls on
+        tiny arrays. The construction is exact: a node's value is
+        ``np.add.reduce(y[idx]) / n``, which is how ``ndarray.mean``
+        computes it, and the split rules choose exactly the splits of the
+        plain numpy formulation (DESIGN §9.1 has the argument).
+        """
+        X, y = check_fit_inputs(X, y)
+        n_features = X.shape[1]
+        self.n_features_ = n_features
+        k = self._n_candidate_features()
+        columns = X.T.tolist()
+        y_list = y.tolist()
+        if self.splitter == "random":
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.ptp(X, axis=0)).all():
+                    raise ValidationError("a feature's range overflows a double")
+        split_node = self._random_split if self.splitter == "random" else self._best_split
+        rng = self._rng
+        all_features = range(n_features)
+        min_split = max(self.min_samples_split, 2 * self.min_samples_leaf)
+        min_leaf = self.min_samples_leaf
+        max_depth = self.max_depth
+        self.children_left_ = left_of = []
+        self.children_right_ = right_of = []
+        self.feature_ = feature_of = []
+        self.threshold_ = threshold_of = []
+        self.value_ = value_of = []
+        self.n_node_samples_ = count_of = []
+
+        def new_node(idx: list[int]) -> int:
+            left_of.append(_LEAF)
+            right_of.append(_LEAF)
+            feature_of.append(_LEAF)
+            threshold_of.append(np.nan)
+            if len(idx) == 1 and y_list[idx[0]]:
+                # A lone non-zero value is its own mean under any summation order.
+                value_of.append(y_list[idx[0]])
+            else:
+                value_of.append(float(np.add.reduce(y[idx])) / len(idx))
+            count_of.append(len(idx))
+            return len(value_of) - 1
+
+        # Depth-first with an explicit stack; the right child pops first.
+        root = list(range(len(y_list)))
+        stack = [(root, 0, new_node(root))]
         while stack:
-            idx, depth, node_id, _ = stack.pop()
-            split = self._find_split(X, y, idx, depth)
+            idx, depth, node = stack.pop()
+            if len(idx) < min_split or (max_depth is not None and depth >= max_depth):
+                continue
+            gather = itemgetter(*idx)
+            y_node = gather(y_list)
+            if min(y_node) == max(y_node):
+                continue
+            features = (
+                all_features
+                if k >= n_features
+                else rng.choice(n_features, size=k, replace=False).tolist()
+            )
+            candidates = []  # (feature, values at the node, lo, hi)
+            for feature in features:
+                values = gather(columns[feature])
+                lo, hi = min(values), max(values)
+                if lo != hi:
+                    candidates.append((feature, values, lo, hi))
+            if not candidates:
+                continue
+            split = split_node(candidates, y_node)
             if split is None:
                 continue
-            feature, threshold, left_idx, right_idx = split
-            self.feature_[node_id] = feature
-            self.threshold_[node_id] = threshold
-            left_id = self._new_node(y, left_idx)
-            right_id = self._new_node(y, right_idx)
-            self.children_left_[node_id] = left_id
-            self.children_right_[node_id] = right_id
-            stack.append((left_idx, depth + 1, left_id, True))
-            stack.append((right_idx, depth + 1, right_id, False))
+            feature, threshold, goes_left = split
+            left = list(compress(idx, goes_left))
+            right = list(compress(idx, map(not_, goes_left)))
+            if len(left) < min_leaf or len(right) < min_leaf:
+                continue
+            feature_of[node] = feature
+            threshold_of[node] = threshold
+            left_id = new_node(left)
+            right_id = new_node(right)
+            left_of[node] = left_id
+            right_of[node] = right_id
+            stack.append((left, depth + 1, left_id))
+            stack.append((right, depth + 1, right_id))
         self._finalize()
         return self
-
-    def _new_node(self, y: np.ndarray, idx: np.ndarray) -> int:
-        node_id = len(self.value_)
-        self.children_left_.append(_LEAF)
-        self.children_right_.append(_LEAF)
-        self.feature_.append(_LEAF)
-        self.threshold_.append(np.nan)
-        self.value_.append(float(y[idx].mean()))
-        self.n_node_samples_.append(len(idx))
-        return node_id
 
     def _n_candidate_features(self) -> int:
         assert self.n_features_ is not None
@@ -128,55 +203,96 @@ class DecisionTreeRegressor(SurrogateModel):
             return self.n_features_
         if self.max_features == "sqrt":
             return max(1, int(np.sqrt(self.n_features_)))
-        return max(1, min(int(self.max_features), self.n_features_))
+        if self.max_features > self.n_features_:
+            raise ValidationError(
+                f"max_features={self.max_features} exceeds the "
+                f"{self.n_features_} features of the training data"
+            )
+        return int(self.max_features)
 
-    def _find_split(
-        self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int
-    ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
-        n = len(idx)
-        if n < self.min_samples_split or n < 2 * self.min_samples_leaf:
-            return None
-        if self.max_depth is not None and depth >= self.max_depth:
-            return None
-        y_node = y[idx]
-        if np.ptp(y_node) == 0.0:
+    def _random_split(
+        self,
+        candidates: list[tuple[int, tuple[float, ...], float, float]],
+        y_node: tuple[float, ...],
+    ) -> tuple[int, float, list[bool]] | None:
+        """Extra-Trees rule: one uniform threshold per candidate feature,
+        keep the first candidate of least SSE.
+
+        ``rng.random(m)`` gives the same doubles (and leaves the stream in
+        the same state) as ``m`` scalar ``rng.uniform(lo, hi)`` draws, which
+        compute ``lo + (hi - lo) * u``. Candidates are scored in plain
+        Python on ``y`` centred at the node; only candidates whose score
+        lies within a forward-error bound of the best are re-scored with
+        the exact numpy expression, so the choice is the one that
+        expression makes.
+        """
+        n = len(y_node)
+        min_leaf = self.min_samples_leaf
+        draws = self._rng.random(len(candidates)).tolist()
+        valid = []  # (feature, threshold, goes_left, n_left)
+        for (feature, values, lo, hi), u in zip(candidates, draws):
+            threshold = lo + (hi - lo) * u
+            goes_left = [v <= threshold for v in values]
+            n_left = goes_left.count(True)
+            if min_leaf <= n_left <= n - min_leaf:
+                valid.append((feature, threshold, goes_left, n_left))
+        if not valid:
             return None
 
-        k = self._n_candidate_features()
-        assert self.n_features_ is not None
-        features = (
-            np.arange(self.n_features_)
-            if k >= self.n_features_
-            else self._rng.choice(self.n_features_, size=k, replace=False)
-        )
-
-        best: tuple[float, int, float] | None = None  # (sse, feature, threshold)
-        for feature in features:
-            x = X[idx, feature]
-            lo, hi = x.min(), x.max()
-            if lo == hi:
-                continue
-            if self.splitter == "random":
-                candidate = self._score_threshold(
-                    x, y_node, float(self._rng.uniform(lo, hi))
-                )
-                if candidate is not None and (best is None or candidate < best[0]):
-                    best = (candidate, int(feature), float(self._last_threshold))
+        # Equal and mirrored partitions score bit-equal in numpy (float
+        # ``+`` commutes), so only the first candidate of each can win.
+        distinct = []  # (candidate, its partition mirrored)
+        for candidate in valid:
+            goes_left = candidate[2]
+            for seen, flip in distinct:
+                if goes_left == seen[2] or goes_left == flip:
+                    break
             else:
-                result = self._best_threshold(x, y_node)
-                if result is not None:
-                    sse, threshold = result
-                    if best is None or sse < best[0]:
-                        best = (sse, int(feature), threshold)
+                distinct.append((candidate, list(map(not_, goes_left))))
+        if len(distinct) == 1:
+            return valid[0][:3]
+
+        mean = sum(y_node) / n
+        dev = [v - mean for v in y_node]
+        dev2 = [v * v for v in dev]
+        scores = []
+        for (_, _, goes_left, n_left), goes_right in distinct:
+            scores.append(
+                sum(compress(dev2, goes_left))
+                - sum(compress(dev, goes_left)) ** 2 / n_left
+                + sum(compress(dev2, goes_right))
+                - sum(compress(dev, goes_right)) ** 2 / (n - n_left)
+            )
+        y_max = max(max(y_node), -min(y_node))
+        limit = min(scores) + 1e-9 * sum(dev2) + 16.0 * n * n * _EPS * y_max * y_max
+        if isfinite(limit):
+            near = [c for (c, _), s in zip(distinct, scores) if s <= limit]
+        else:  # the scores overflowed: compare every partition exactly
+            near = [c for c, _ in distinct]
+        if len(near) > 1:
+            y_arr = np.asarray(y_node)
+            exact = [_exact_sse(y_arr, np.asarray(c[2])) for c in near]
+            return near[exact.index(min(exact))][:3]
+        return near[0][:3]
+
+    def _best_split(
+        self,
+        candidates: list[tuple[int, tuple[float, ...], float, float]],
+        y_node: tuple[float, ...],
+    ) -> tuple[int, float, list[bool]] | None:
+        """CART rule: the least-SSE threshold of every candidate feature."""
+        y_arr = np.asarray(y_node)
+        best: tuple[float, int, float, tuple[float, ...]] | None = None
+        for feature, values, _, _ in candidates:
+            result = self._best_threshold(np.asarray(values), y_arr)
+            if result is not None:
+                sse, threshold = result
+                if best is None or sse < best[0]:
+                    best = (sse, feature, threshold, values)
         if best is None:
             return None
-        _, feature, threshold = best
-        mask = X[idx, feature] <= threshold
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        if len(left_idx) < self.min_samples_leaf or len(right_idx) < self.min_samples_leaf:
-            return None
-        return feature, threshold, left_idx, right_idx
+        _, feature, threshold, values = best
+        return feature, threshold, [v <= threshold for v in values]
 
     def _best_threshold(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
         """Exhaustive CART scan: minimal total SSE over all thresholds."""
@@ -212,20 +328,6 @@ class DecisionTreeRegressor(SurrogateModel):
         pos = int(np.argmin(sse))
         threshold = float(0.5 * (xs[pos] + xs[pos + 1]))
         return float(sse[pos]), threshold
-
-    _last_threshold: float = np.nan
-
-    def _score_threshold(self, x: np.ndarray, y: np.ndarray, threshold: float) -> float | None:
-        """SSE of one explicit threshold (Extra-Trees random split)."""
-        mask = x <= threshold
-        n_left = int(mask.sum())
-        if n_left < self.min_samples_leaf or len(x) - n_left < self.min_samples_leaf:
-            return None
-        left = y[mask]
-        right = y[~mask]
-        sse = float(((left - left.mean()) ** 2).sum() + ((right - right.mean()) ** 2).sum())
-        self._last_threshold = threshold
-        return sse
 
     def _finalize(self) -> None:
         self._cl = np.asarray(self.children_left_, dtype=np.int64)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import ValidationError
 from repro.surrogate import DecisionTreeRegressor
 from repro.surrogate.base import check_fit_inputs
+from repro.surrogate.forest import ExtraTreesRegressor, RandomForestRegressor
 
 
 class TestFitInputs:
@@ -97,6 +98,11 @@ class TestDecisionTree:
         with pytest.raises(ValidationError):
             DecisionTreeRegressor(splitter="weird")
 
+    def test_overflowing_feature_range_rejected(self):
+        X = np.array([[-1e308], [1e308], [0.0]])
+        with pytest.raises(ValidationError):
+            DecisionTreeRegressor(splitter="random").fit(X, [0.0, 1.0, 2.0])
+
     @given(
         n=st.integers(5, 60),
         seed=st.integers(0, 100),
@@ -112,3 +118,25 @@ class TestDecisionTree:
         preds = tree.predict(rng.uniform(size=(30, 2)))
         assert (preds >= y.min() - 1e-9).all()
         assert (preds <= y.max() + 1e-9).all()
+
+
+class TestMaxFeatures:
+    """``max_features`` is checked at the boundary, never clamped."""
+
+    @pytest.mark.parametrize("bad", [0, -1, True, False, "log2", 0.5, 2.0])
+    @pytest.mark.parametrize("cls", [DecisionTreeRegressor, ExtraTreesRegressor, RandomForestRegressor])
+    def test_bad_value_rejected_at_construction(self, cls, bad):
+        with pytest.raises(ValidationError):
+            cls(max_features=bad)
+
+    @pytest.mark.parametrize("good", [None, "sqrt", 1, 3, np.int64(2)])
+    @pytest.mark.parametrize("cls", [DecisionTreeRegressor, ExtraTreesRegressor, RandomForestRegressor])
+    def test_good_value_accepted(self, cls, good, rng):
+        model = cls(max_features=good).fit(rng.uniform(size=(12, 3)), rng.normal(size=12))
+        assert np.isfinite(model.predict(rng.uniform(size=(4, 3)))).all()
+
+    @pytest.mark.parametrize("cls", [DecisionTreeRegressor, ExtraTreesRegressor, RandomForestRegressor])
+    def test_more_features_than_data_rejected_at_fit(self, cls, rng):
+        model = cls(max_features=4)
+        with pytest.raises(ValidationError, match="max_features=4"):
+            model.fit(rng.uniform(size=(12, 3)), rng.normal(size=12))
