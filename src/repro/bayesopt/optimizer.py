@@ -31,11 +31,15 @@ are kept off the campaign's critical path:
   so full from-scratch refits only fire on dataset doubling — log-many over
   a campaign instead of every ``refit_every`` trials.
 - with ``background_refit=True`` those full refits move off the ask path:
-  a daemon worker fits a *second* model instance while ``ask`` keeps
-  reading the last published one, and a single attribute assignment under
-  the optimizer lock swaps the fresh model in (double buffering). The
-  deterministic single-thread behaviour of ``background_refit=False`` is
-  bit-for-bit identical to previous releases.
+  a child process fits a *second* model instance while ``ask`` keeps
+  reading the last published one, and a daemon thread that waits for the
+  child swaps the fresh model in with a single attribute assignment under
+  the optimizer lock (double buffering). The fit runs in another
+  interpreter because a pure-Python fit on a thread would hold the GIL
+  that every numpy call of an overlapping ask has to win back
+  (:mod:`repro.bayesopt.refit_worker`). The deterministic single-thread
+  behaviour of ``background_refit=False`` is bit-for-bit identical to
+  previous releases.
 
 All public methods are thread-safe: ``ask``/``tell``/``result`` serialize
 on one re-entrant lock, which is also what makes the background publish an
@@ -58,6 +62,7 @@ from repro.bayesopt.acquisition import (
     lower_confidence_bound,
     probability_of_improvement,
 )
+from repro.bayesopt.refit_worker import RefitProcess, encode_request
 from repro.bayesopt.space import Dimension, Space
 from repro.errors import OptimizationError, ValidationError
 from repro.observability.digest import get_perf
@@ -146,10 +151,11 @@ class Optimizer:
       counting it towards the refit throttle; full refits then only fire on
       dataset doubling. Slightly changes which model serves each ask, so it
       is off by default for reproducibility.
-    - ``background_refit``: run full refits on a daemon worker thread and
+    - ``background_refit``: run full refits in a child process and
       double-buffer the model — ``ask`` always reads the last published
-      fit and a lock-protected attribute swap publishes the new one. Off by
-      default: the single-thread path is bit-for-bit reproducible.
+      fit and a lock-protected attribute swap publishes the new one. The
+      surrogate must be picklable (the built-in ones are). Off by default:
+      the single-thread path is bit-for-bit reproducible.
     """
 
     def __init__(
@@ -237,9 +243,11 @@ class Optimizer:
         # Lock order is always _lock → _refit_cond, never the reverse.
         self._lock = threading.RLock()
         self._refit_cond = threading.Condition()
-        self._refit_job: tuple[SurrogateModel, np.ndarray, np.ndarray, int, int] | None = None
+        #: (encoded refit request, rows, told, pending) for the worker.
+        self._refit_job: tuple[bytes, int, int, int] | None = None
         self._refit_inflight = False
         self._refit_thread: threading.Thread | None = None
+        self._refit_process: RefitProcess | None = None
         self._closed = False
 
     @property
@@ -260,18 +268,19 @@ class Optimizer:
 
     def _fit_model(self, model: SurrogateModel, X: np.ndarray, y: np.ndarray) -> None:
         """Fit + observability: ``refit`` latency digest and tracer span."""
-        tracer = get_tracer()
         start = time.perf_counter()
         try:
             model.fit(X, y)
         finally:
-            elapsed = time.perf_counter() - start
-            get_perf().record("refit", elapsed)
-            if tracer.enabled:
-                span = tracer.start_span(
-                    "refit", start=tracer.clock() - elapsed, n_obs=len(y)
-                )
-                tracer.end_span(span)
+            self._record_refit(time.perf_counter() - start, len(y))
+
+    @staticmethod
+    def _record_refit(elapsed: float, n_obs: int) -> None:
+        get_perf().record("refit", elapsed)
+        tracer = get_tracer()
+        if tracer.enabled:
+            span = tracer.start_span("refit", start=tracer.clock() - elapsed, n_obs=n_obs)
+            tracer.end_span(span)
 
     def _surrogate(self) -> SurrogateModel:
         """The published surrogate, refitted only when stale enough.
@@ -315,13 +324,18 @@ class Optimizer:
         *caller* thread, so the optimizer rng is never touched off-thread
         and the background path consumes the same rng stream as the inline
         one. At most one refit is in flight; while it runs, later asks keep
-        reading the current model instead of piling up jobs.
+        reading the current model instead of piling up jobs. The request is
+        encoded and the refit child started here too, so an unpicklable
+        surrogate or a child that cannot start fails this ask loudly.
         """
         if self._refit_inflight or self._closed:
             return
         X, y = self._augmented_data()
-        model = self._new_model()
+        request = encode_request(self._new_model(), X, y)
         told, pend = len(self.yi), len(self._pending)
+        with self._refit_cond:
+            if self._refit_process is None:
+                self._refit_process = RefitProcess()
         self._refit_inflight = True
         if self._refit_thread is None or not self._refit_thread.is_alive():
             self._refit_thread = threading.Thread(
@@ -329,24 +343,40 @@ class Optimizer:
             )
             self._refit_thread.start()
         with self._refit_cond:
-            self._refit_job = (model, X, y, told, pend)
+            self._refit_job = (request, len(y), told, pend)
             self._refit_cond.notify()
 
     def _refit_worker(self) -> None:
+        """Hand each queued job to the refit child and publish its model.
+
+        A failed refit is dropped and the published model keeps serving; a
+        child that died is replaced at the next refit.
+        """
         while True:
             with self._refit_cond:
                 while self._refit_job is None and not self._closed:
                     self._refit_cond.wait()
                 if self._refit_job is None:
+                    if self._refit_process is not None:
+                        self._refit_process.close()
+                        self._refit_process = None
                     return  # closed with nothing queued
                 job, self._refit_job = self._refit_job, None
-            model, X, y, told, pend = job
+                process = self._refit_process
+            assert process is not None  # started with the job
+            request, n_obs, told, pend = job
             try:
-                self._fit_model(model, X, y)
-            except Exception:
+                model, elapsed = process.fit(request)
+            except Exception as exc:
+                if not isinstance(exc, OptimizationError):
+                    with self._refit_cond:
+                        if self._refit_process is process:
+                            self._refit_process = None
+                    process.close()
                 with self._lock:
                     self._refit_inflight = False
                 continue
+            self._record_refit(elapsed, n_obs)
             with self._lock:
                 # Double-buffer publish: one attribute swap under the lock;
                 # concurrent asks read either the old or the new model.
@@ -360,17 +390,20 @@ class Optimizer:
                 self._refit_inflight = False
 
     def close(self) -> None:
-        """Stop the background refit worker (idempotent).
+        """Stop the background refit worker and its child (idempotent).
 
-        Pending jobs are dropped; the last published model stays readable.
-        Only needed with ``background_refit=True`` — and even then the
-        worker is a daemon, so skipping ``close`` never hangs interpreter
-        shutdown.
+        Pending jobs are dropped and a refit in progress is abandoned; the
+        last published model stays readable. Only needed with
+        ``background_refit=True`` — and even then the worker is a daemon
+        and the child exits with its parent, so skipping ``close`` never
+        hangs interpreter shutdown.
         """
         with self._refit_cond:
             self._closed = True
             self._refit_job = None
             self._refit_cond.notify_all()
+            if self._refit_process is not None:
+                self._refit_process.kill()
         thread = self._refit_thread
         if thread is not None and thread.is_alive():
             thread.join(timeout=10.0)

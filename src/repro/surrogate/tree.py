@@ -30,6 +30,7 @@ __all__ = ["DecisionTreeRegressor"]
 
 _LEAF = -1
 _EPS = float(np.finfo(float).eps)
+_TINY = 5e-324  # the least subnormal: the absolute rounding unit below 2**-1022
 
 
 def check_max_features(max_features: Any) -> None:
@@ -124,10 +125,6 @@ class DecisionTreeRegressor(SurrogateModel):
         k = self._n_candidate_features()
         columns = X.T.tolist()
         y_list = y.tolist()
-        if self.splitter == "random":
-            with np.errstate(over="ignore"):
-                if not np.isfinite(np.ptp(X, axis=0)).all():
-                    raise ValidationError("a feature's range overflows a double")
         split_node = self._random_split if self.splitter == "random" else self._best_split
         rng = self._rng
         all_features = range(n_features)
@@ -228,6 +225,9 @@ class DecisionTreeRegressor(SurrogateModel):
         """
         n = len(y_node)
         min_leaf = self.min_samples_leaf
+        for feature, _, lo, hi in candidates:
+            if not isfinite(hi - lo):
+                raise ValidationError(f"the range of feature {feature} overflows a double")
         draws = self._rng.random(len(candidates)).tolist()
         valid = []  # (feature, threshold, goes_left, n_left)
         for (feature, values, lo, hi), u in zip(candidates, draws):
@@ -264,7 +264,12 @@ class DecisionTreeRegressor(SurrogateModel):
                 - sum(compress(dev, goes_right)) ** 2 / (n - n_left)
             )
         y_max = max(max(y_node), -min(y_node))
-        limit = min(scores) + 1e-9 * sum(dev2) + 16.0 * n * n * _EPS * y_max * y_max
+        limit = (
+            min(scores)
+            + 1e-9 * sum(dev2)
+            + 16.0 * n * n * _EPS * y_max * y_max
+            + 64.0 * n * _TINY
+        )
         if isfinite(limit):
             near = [c for (c, _), s in zip(distinct, scores) if s <= limit]
         else:  # the scores overflowed: compare every partition exactly

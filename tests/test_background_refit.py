@@ -1,6 +1,7 @@
 """Tests for the flat suggest tail: incremental updates, the background
 refit worker, and the checkpointed refit cadence."""
 
+import os
 import threading
 import time
 
@@ -136,6 +137,58 @@ class TestBackgroundRefit:
         finally:
             opt.close()
         opt.close()  # idempotent
+
+    def test_refits_run_in_a_child_process(self):
+        opt = Optimizer(
+            _space(), n_initial_points=5, refit_every=2, background_refit=True,
+            random_state=5,
+        )
+        try:
+            _campaign(opt, 12)
+            process = opt._refit_process
+            assert process is not None
+            assert process._proc.pid != os.getpid()
+            assert process._proc.poll() is None
+        finally:
+            opt.close()
+        assert process._proc.poll() is not None  # close() stopped the child
+
+    def test_dead_child_is_replaced(self):
+        opt = Optimizer(
+            _space(), n_initial_points=5, refit_every=1, background_refit=True,
+            random_state=5,
+        )
+        try:
+            _campaign(opt, 8)
+            dead = opt._refit_process
+            dead.kill()
+            deadline = time.monotonic() + 30.0
+            while opt.n_background_fits == 0 or opt._refit_process is dead:
+                assert time.monotonic() < deadline, "no refit after the child died"
+                _campaign(opt, 1)
+                time.sleep(0.01)
+            published = opt.n_background_fits
+            while opt.n_background_fits == published:
+                assert time.monotonic() < deadline, "the new child never published"
+                _campaign(opt, 1)
+                time.sleep(0.01)
+            assert opt.n_fits == 1
+        finally:
+            opt.close()
+
+    def test_unpicklable_surrogate_rejected(self):
+        class LocalForest(ExtraTreesRegressor):
+            """Defined in a function, so the child cannot import it."""
+
+        opt = Optimizer(
+            _space(), base_estimator=lambda: LocalForest(n_estimators=4),
+            n_initial_points=3, refit_every=1, background_refit=True, random_state=5,
+        )
+        try:
+            with pytest.raises(ValidationError, match="picklable"):
+                _campaign(opt, 6)
+        finally:
+            opt.close()
 
     def test_concurrent_ask_tell_hammer(self):
         """Worker threads ask/tell against in-flight background refits:

@@ -17,7 +17,8 @@ change log.
 The datasets stress the cases where an exact split choice is delicate:
 duplicate objective values (constant-liar fantasies), gridded features
 with many tied values, rounded objectives, and objectives whose spread is
-tiny next to their magnitude (down to 1e-15 of it).
+tiny next to their magnitude (down to 1e-15 of it), and objectives so
+small that their squared deviations are subnormal.
 """
 
 from __future__ import annotations
@@ -62,12 +63,16 @@ def make_dataset(name: str) -> tuple[np.ndarray, np.ndarray]:
         # A spread of 1e-15 relative to the magnitude: the SSE of a split is
         # mostly rounding error, so only an exact tie rule picks the same one.
         y = 1e6 + 1e-9 * u
+    elif name == "subnormal":
+        # Squared deviations are subnormal, so every SSE is rounded to an
+        # absolute unit of 5e-324 that no relative tolerance covers.
+        y = 1e-161 * smooth
     else:
         raise KeyError(name)
     return X, y
 
 
-DATASETS = ("smooth", "liar", "grid", "tiny", "offset", "cancel")
+DATASETS = ("smooth", "liar", "grid", "tiny", "offset", "cancel", "subnormal")
 
 #: tree variants: (min_samples_leaf, max_depth, max_features).
 TREE_VARIANTS = {
@@ -183,84 +188,98 @@ GOLDEN: dict[str, str] = {'best:leaf1@smooth': 'abab944f74c8e6cc',
  'best:leaf1@tiny': '0423fe06fdd512f3',
  'best:leaf1@offset': '04337531ee799de1',
  'best:leaf1@cancel': '9fad8066e3ebdb8f',
+ 'best:leaf1@subnormal': '06147f3f511aa7da',
  'best:leaf2@smooth': 'c3bb72d8e2f3dc5d',
  'best:leaf2@liar': '86ac193edd3bd28d',
  'best:leaf2@grid': 'f4271f5acb838eb7',
  'best:leaf2@tiny': '43759f4bedbfb521',
  'best:leaf2@offset': '00744e177836deea',
  'best:leaf2@cancel': 'd1f96cd1d2dda817',
+ 'best:leaf2@subnormal': 'c8319476ec7a5af5',
  'best:leaf3@smooth': 'c0ee89fd2ccb3e75',
  'best:leaf3@liar': '5131fe48f69a49ad',
  'best:leaf3@grid': '9c9340be97b71846',
  'best:leaf3@tiny': '18a863bdaba89f6e',
  'best:leaf3@offset': 'b6993ba63fa7ac89',
  'best:leaf3@cancel': '0daecefa8e5fef23',
+ 'best:leaf3@subnormal': '8609925989c08a24',
  'best:depth3@smooth': '1b0391e2ad0843ea',
  'best:depth3@liar': 'c3c7bda61be210f5',
  'best:depth3@grid': '728d1d05fc1b31a4',
  'best:depth3@tiny': '9f279fa86583c643',
  'best:depth3@offset': '87704b8309c1fd40',
  'best:depth3@cancel': 'a385aa775c20ee1b',
+ 'best:depth3@subnormal': 'e133fb3f582e644c',
  'best:feat2@smooth': '2e62f7c771635dc8',
  'best:feat2@liar': '4cf7bc348fb652f0',
  'best:feat2@grid': '4cd3e40db36658c6',
  'best:feat2@tiny': '908f2984a56af394',
  'best:feat2@offset': 'fe375f206c832997',
  'best:feat2@cancel': '2bd371648c5eee60',
+ 'best:feat2@subnormal': 'c72a5ee3ed8481c7',
  'random:leaf1@smooth': '0b0214f5ad773d96',
  'random:leaf1@liar': 'f3dc48a799a5c9a3',
  'random:leaf1@grid': '80fc3aba7e17b8b0',
  'random:leaf1@tiny': 'c3b6a7f4f0c1d474',
  'random:leaf1@offset': '6903bf3c15275d19',
  'random:leaf1@cancel': '009c8e83f6b24cc1',
+ 'random:leaf1@subnormal': '1b2f6b5aa5e90b8c',
  'random:leaf2@smooth': '62786d10a2352b71',
  'random:leaf2@liar': '2d5e8c131bf57858',
  'random:leaf2@grid': 'b3396d6629bab959',
  'random:leaf2@tiny': 'b1d7a8d3686ae38a',
  'random:leaf2@offset': '7887d2157e2c3132',
  'random:leaf2@cancel': 'a4f65a521facc1c1',
+ 'random:leaf2@subnormal': '7bce533d7a8e512e',
  'random:leaf3@smooth': '2863d81a7d0420fd',
  'random:leaf3@liar': '9b34e2a8e28bb608',
  'random:leaf3@grid': '62d991632890f405',
  'random:leaf3@tiny': '365bccc4ae7ccf6e',
  'random:leaf3@offset': '4bcd4bbcd218d310',
  'random:leaf3@cancel': '9c38f82dc83aa376',
+ 'random:leaf3@subnormal': 'ba20f2d4d3faf4e7',
  'random:depth3@smooth': '2d806655d1adf1a3',
  'random:depth3@liar': '97f4891674a27d05',
  'random:depth3@grid': 'f56c633244ae1138',
  'random:depth3@tiny': '85a3507f337e47ef',
  'random:depth3@offset': 'dc3332b93d763d92',
  'random:depth3@cancel': '6964b927d59f3a40',
+ 'random:depth3@subnormal': '1f5bf5aec557cd8e',
  'random:feat2@smooth': '50e189edab5a8ef5',
  'random:feat2@liar': '99a81a015a9ad88d',
  'random:feat2@grid': '33f71eb9051fd931',
  'random:feat2@tiny': '37ffd35f36c62509',
  'random:feat2@offset': 'f1fb2be1cbf983e8',
  'random:feat2@cancel': '75e13ce2b9b8ee99',
+ 'random:feat2@subnormal': '35602ebd90a24064',
  'ET@smooth': 'e729f04e37498119:15456c917dab741b',
  'ET@liar': '7ad674b8066dd547:53092db12ee934b4',
  'ET@grid': 'dc75ec135491bd1b:79f04e35a67ccd3d',
  'ET@tiny': 'fd2624c76868f859:b409ddc2fc947fdf',
  'ET@offset': '6579e8f4add6da23:c0fe30fa6b52fc36',
  'ET@cancel': '14db7612d5b1ddf1:a7fe5aa4af0d2c63',
+ 'ET@subnormal': '0fd15bfa1e3f814f:a3b9121576ea40b9',
  'ET:feat2@smooth': 'ef61ea19f9f15289:58b240cadd40e3af',
  'ET:feat2@liar': 'a7d4c276c6142f66:5abb301a5f160026',
  'ET:feat2@grid': 'a56264986e8bd25e:afd27c4c66b43381',
  'ET:feat2@tiny': '8e1f83d324c4ada8:d001f724f7a2403a',
  'ET:feat2@offset': '041b9f5fbad7d002:0ff4c7fba7d5d0d1',
  'ET:feat2@cancel': 'c2ce35b31ea1061b:9a359fa2630e6cbd',
+ 'ET:feat2@subnormal': 'eb4cebce090830f8:a248df4b840d9571',
  'RF@smooth': '7384a28a2c70566f:175fa1f9f1ef5673',
  'RF@liar': '8bc789fd0695deab:aab51cbc85dbe833',
  'RF@grid': '26e4dba111c9e26a:4f15f081b05c7664',
  'RF@tiny': '8d5a61fe5102b96c:153c11941ee7767a',
  'RF@offset': '044d5505ac17479a:173a2a4a344b234c',
  'RF@cancel': 'd4a4bd6ee63381b7:54db681e301fbf2d',
+ 'RF@subnormal': 'c86355fb59f436e8:b633689575d29478',
  'GBRT@smooth': '1c9db6c7391182d0:1b6b242cf4001533',
  'GBRT@liar': '9f4cf9ece844840b:36a7669436eaa473',
  'GBRT@grid': '0a55f4f16bc04ba9:a45f9f59ab166e4f',
  'GBRT@tiny': 'd14d0620f733613f:f78905194cfea66a',
  'GBRT@offset': '1e188dd23642f927:35be27218a913c90',
- 'GBRT@cancel': 'fbb882285b6392e6:e19130621d275004'}
+ 'GBRT@cancel': 'fbb882285b6392e6:e19130621d275004',
+ 'GBRT@subnormal': '4fc08cd9826f5dee:2259e2edeff281e5'}
 
 GOLDEN_TRACE: dict = {'trials': 'a3b69f8cf8e9c07a', 'fits': 18, 'best': '-0x1.b0a3d70a3d70ap+1'}
 

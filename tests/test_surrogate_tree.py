@@ -103,6 +103,12 @@ class TestDecisionTree:
         with pytest.raises(ValidationError):
             DecisionTreeRegressor(splitter="random").fit(X, [0.0, 1.0, 2.0])
 
+    def test_overflowing_range_never_drawn_fits(self):
+        # A constant target never tries a split, so the range is not drawn.
+        X = np.array([[-1e308], [1e308], [0.0]])
+        tree = DecisionTreeRegressor(splitter="random").fit(X, [1.0, 1.0, 1.0])
+        assert tree.node_count == 1
+
     @given(
         n=st.integers(5, 60),
         seed=st.integers(0, 100),
