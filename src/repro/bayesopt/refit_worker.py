@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -92,6 +93,9 @@ class RefitProcess:
 
 
 def main() -> None:
+    # The parent owns the child's lifetime (end of input or kill): a Ctrl-C
+    # aimed at the parent's process group must not kill a fit midway.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     requests = sys.stdin.buffer
     replies = sys.stdout.buffer
     sys.stdout = sys.stderr  # stray prints must not corrupt the reply stream
@@ -107,5 +111,8 @@ def main() -> None:
             reply: tuple[Any, Any] = (None, f"{type(exc).__name__}: {exc}")
         else:
             reply = (model, time.perf_counter() - start)
-        replies.write(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
-        replies.flush()
+        try:
+            replies.write(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
+            replies.flush()
+        except BrokenPipeError:
+            return  # the parent is gone
