@@ -65,7 +65,6 @@ from repro.bayesopt.acquisition import (
 from repro.bayesopt.refit_worker import RefitProcess, encode_request
 from repro.bayesopt.space import Dimension, Space
 from repro.errors import OptimizationError, ValidationError
-from repro.observability.digest import get_perf
 from repro.observability.trace import get_tracer
 from repro.sampling import get_sampler
 from repro.surrogate import SurrogateModel, get_surrogate
@@ -267,7 +266,7 @@ class Optimizer:
             return get_surrogate(self.base_estimator)
 
     def _fit_model(self, model: SurrogateModel, X: np.ndarray, y: np.ndarray) -> None:
-        """Fit + observability: ``refit`` latency digest and tracer span."""
+        """Fit + observability: a ``refit`` span (the latency digest's source)."""
         start = time.perf_counter()
         try:
             model.fit(X, y)
@@ -276,11 +275,11 @@ class Optimizer:
 
     @staticmethod
     def _record_refit(elapsed: float, n_obs: int) -> None:
-        get_perf().record("refit", elapsed)
         tracer = get_tracer()
         if tracer.enabled:
-            span = tracer.start_span("refit", start=tracer.clock() - elapsed, n_obs=n_obs)
-            tracer.end_span(span)
+            end = tracer.clock()
+            span = tracer.start_span("refit", start=end - elapsed, n_obs=n_obs)
+            tracer.end_span(span, end=end)
 
     def _surrogate(self) -> SurrogateModel:
         """The published surrogate, refitted only when stale enough.

@@ -46,7 +46,6 @@ from repro.engine.schedule import ArrivalSchedule
 from repro.engine.tasks import TaskType
 from repro.errors import ValidationError
 from repro.monitoring.hybrid import EpochSample, HybridAggregator
-from repro.observability.digest import get_perf
 from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 from repro.utils.seeding import derive_seed, spawn_rng
@@ -318,7 +317,6 @@ class HybridEngine:
     def run(self) -> HybridRunResult:
         wall_start = time.perf_counter()
         tracer = get_tracer()
-        perf = get_perf()
         registry = get_registry()
         knobs = self.knobs
         duration = self.workload.duration
@@ -344,7 +342,20 @@ class HybridEngine:
         for index, (start, end, rate) in enumerate(
             iter_epochs(self.schedule, duration, knobs.epoch)
         ):
-            epoch_wall = time.perf_counter()
+            # The span covers the whole epoch (its duration is the
+            # ``hybrid_epoch`` latency sample); the epoch's simulated start
+            # is an attribute, not the span's wall start.
+            span = (
+                tracer.start_span(
+                    "hybrid.epoch",
+                    parent=run_span,
+                    epoch_index=index,
+                    epoch_start=start,
+                    rate=rate,
+                )
+                if tracer.enabled
+                else None
+            )
             entering_backlog = backlog
             fluid = self.analytic.evaluate_open(
                 self.config, rate, backlog=backlog, dt=end - start
@@ -352,19 +363,6 @@ class HybridEngine:
             backlog = fluid.backlog
             reason = self._des_reason(
                 index, rate, prev_rate, fluid, prev_saturated, since_sample, sample_due
-            )
-            span = (
-                tracer.start_span(
-                    "hybrid.epoch",
-                    parent=run_span,
-                    mode="des" if reason else "fluid",
-                    reason=reason or "steady",
-                    epoch_index=index,
-                    start=start,
-                    rate=rate,
-                )
-                if tracer.enabled
-                else None
             )
             # Flow conservation makes un-saturated open-loop throughput exact
             # (served = offered); the DES-calibrated correction only carries
@@ -400,10 +398,11 @@ class HybridEngine:
                     # tighten the cadence until a window comes back inside.
                     sample_due = max(1, knobs.sample_every // 4)
             if span is not None:
+                span.set("mode", "des" if reason else "fluid")
+                span.set("reason", reason or "steady")
                 span.set("throughput", agg.epochs[-1].throughput)
                 span.set("backlog", backlog)
                 tracer.end_span(span)
-            perf.record("hybrid_epoch", time.perf_counter() - epoch_wall)
             prev_rate = rate
             prev_saturated = fluid.saturated
 

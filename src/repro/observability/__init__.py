@@ -20,11 +20,14 @@ and a null metrics registry):
 - :mod:`repro.observability.dashboard` — a self-contained HTML timeline
   (``python -m repro dashboard <run-dir>``), no external assets;
 - :mod:`repro.observability.digest` — mergeable latency digests on every
-  hot-path op (suggest/tell/evaluate/queue-wait/deploy/cache/DES), exported
-  as ``perf_profile.json`` plus Prometheus summary series;
+  hot-path op (suggest/tell/evaluate/queue-wait/deploy/cache/DES), derived
+  from the spans: the recording tracer feeds each finished span through
+  one span-name → op table into ``tracer.perf``, exported as
+  ``perf_profile.json`` plus Prometheus summary series;
 - :mod:`repro.observability.fabric` — the cross-process telemetry fabric:
-  process-pool workers record spans/metrics/digests locally and the parent
-  merges them back with ``runner_id``/``pid`` attribution;
+  process-pool workers record spans/metrics locally and the parent merges
+  them back with ``runner_id``/``pid`` attribution (digesting the worker
+  spans there, once);
 - :mod:`repro.observability.perf` — perf baselines and the regression gate
   (``python -m repro perf record|diff``);
 - :mod:`repro.observability.live` — the live telemetry plane: an embedded
@@ -42,7 +45,7 @@ Typical use::
 
     tracer, registry = obs.enable()
     ... run an OptimizationManager campaign ...
-    obs.export(run_dir)       # spans.jsonl + metrics + timeline + alerts
+    obs.export(run_dir)       # spans.jsonl + metrics + perf + timeline + alerts
     obs.disable()
 """
 
@@ -62,14 +65,7 @@ from repro.observability.analysis import (
     write_trace_events,
 )
 from repro.observability.dashboard import render_dashboard, write_dashboard
-from repro.observability.digest import (
-    PERF_PROFILE_FILE,
-    LatencyDigest,
-    NullPerfRecorder,
-    PerfRecorder,
-    get_perf,
-    set_perf,
-)
+from repro.observability.digest import PERF_PROFILE_FILE, LatencyDigest, PerfRecorder
 from repro.observability.fabric import (
     activate_worker,
     drain_worker,
@@ -163,9 +159,6 @@ __all__ = [
     "load_alerts",
     "LatencyDigest",
     "PerfRecorder",
-    "NullPerfRecorder",
-    "get_perf",
-    "set_perf",
     "PERF_PROFILE_FILE",
     "activate_worker",
     "drain_worker",
@@ -189,15 +182,13 @@ __all__ = [
 def enable() -> tuple[RecordingTracer, MetricsRegistry]:
     """Install a recording tracer + live registry globally; returns both.
 
-    Also installs a live :class:`PerfRecorder` (reachable via
-    :func:`get_perf`) so every hot-path op accumulates latency digests.
-    The return stays a 2-tuple for compatibility.
+    The tracer's latency digests (``tracer.perf``) accumulate from its
+    spans, so every hot-path op is digested as it finishes.
     """
     tracer = RecordingTracer()
     registry = MetricsRegistry()
     set_tracer(tracer)
     set_registry(registry)
-    set_perf(PerfRecorder())
     return tracer, registry
 
 
@@ -205,7 +196,6 @@ def disable() -> None:
     """Restore the inert defaults (no-op tracer, null registry)."""
     set_tracer(None)
     set_registry(None)
-    set_perf(None)
 
 
 def export(run_dir: str | Path) -> list[Path]:
@@ -230,14 +220,13 @@ def export(run_dir: str | Path) -> list[Path]:
                 if watchdog is not None
                 else []
             )
-            live_perf = get_perf()
             written.append(
                 write_dashboard(
                     analyze_spans(spans),
                     run_dir / TIMELINE_FILE,
                     title=run_dir.name,
                     alerts=alerts,
-                    perf=live_perf.to_dict() if live_perf.enabled else None,
+                    perf=tracer.perf.to_dict(),
                 )
             )
     watchdog = get_watchdog()
@@ -246,7 +235,7 @@ def export(run_dir: str | Path) -> list[Path]:
 
         written.append(watchdog.export_jsonl(run_dir / ALERTS_FILE))
     registry = get_registry()
-    perf = get_perf()
+    perf = tracer.perf
     if registry.enabled:
         if isinstance(tracer, RecordingTracer):
             # Self-metrics as gauges: export() may run more than once per
@@ -261,12 +250,12 @@ def export(run_dir: str | Path) -> list[Path]:
             ).set(tracer.subscriber_errors)
         written.append(registry.export_json(run_dir / "metrics.json"))
         prom_text = registry.render_prometheus()
-        if perf.enabled:
+        if perf is not None:
             prom_text = prom_text + perf.render_prometheus()
         prom_path = run_dir / "metrics.prom"
         prom_path.parent.mkdir(parents=True, exist_ok=True)
         prom_path.write_text(prom_text)
         written.append(prom_path)
-    if perf.enabled:
+    if perf is not None:
         written.append(perf.export_json(run_dir / PERF_PROFILE_FILE))
     return written

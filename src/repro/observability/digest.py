@@ -1,34 +1,46 @@
-"""Mergeable streaming latency digests and the continuous perf recorder.
+"""Mergeable streaming latency digests, derived from the span stream.
 
 Means hide tails: the Phase III cost profile said *how much* time suggest
 took, not that its p99 was 5× its p50. A :class:`LatencyDigest` is a
 t-digest-style quantile sketch — bounded memory, accurate tails, and
-*mergeable*, so worker processes can sketch their own latencies and ship the
-centroids back across the process boundary (see
-:mod:`repro.observability.fabric`).
+*mergeable* (two digests fold into one by compressing their centroids).
 
-The :class:`PerfRecorder` attaches one digest to every hot-path op
-(``suggest`` / ``suggest_fit`` / ``tell`` / ``refit`` / ``evaluate`` /
-``queue_wait`` / ``deploy`` / ``reconfigure`` / ``evalcache_lookup`` /
-``des_run``) plus a windowed time series of per-window digests, and
-exports (``suggest`` is the per-candidate amortized hot path;
-``suggest_fit`` isolates the asks that blocked on an inline surrogate
-fit; ``refit`` times every surrogate fit wherever it ran, including the
-background-refit worker):
+Hot paths emit spans and nothing else. Every
+:class:`~repro.observability.trace.RecordingTracer` owns one
+:class:`PerfRecorder` (``tracer.perf``) and feeds it each finished span —
+its own and those ingested from worker processes — through one table,
+:data:`SPAN_OPS`, mapping span names to digest ops:
+
+=====================  ====================================================
+span                   digest op
+=====================  ====================================================
+``suggest``            ``suggest`` (per candidate) or, when the ask blocked
+                       on an inline surrogate fit, one ``suggest_fit``
+                       sample covering the whole ask
+``execute``            ``evaluate`` (cache hits and timed-out attempts
+                       excluded)
+``queue-wait``         ``queue_wait``
+``tell``               ``tell``
+``refit``              ``refit`` (every surrogate fit, wherever it ran)
+``cycle:deploy``       ``deploy``
+``cycle:reconfigure``  ``reconfigure``
+``evalcache_lookup``   ``evalcache_lookup``
+``des_run``            ``des_run``
+``hybrid.epoch``       ``hybrid_epoch``
+=====================  ====================================================
+
+The recorder keeps one digest per op plus a windowed time series of
+per-window digests (windowed by the span's end on the tracer's timeline),
+and exports:
 
 - ``perf_profile.json`` — the run artifact the regression gate
   (``python -m repro perf``) snapshots and diffs;
 - Prometheus *summary* series (``repro_latency_seconds{op=,quantile=}``)
   appended to ``metrics.prom``.
-
-Like the tracer and registry, the process-global default is an inert
-:class:`NullPerfRecorder`; instrumentation sites branch on ``enabled`` and
-pay nothing when observability is off.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
@@ -39,9 +51,7 @@ from typing import Any, Iterator, Mapping, Optional
 __all__ = [
     "LatencyDigest",
     "PerfRecorder",
-    "NullPerfRecorder",
-    "get_perf",
-    "set_perf",
+    "SPAN_OPS",
     "PERF_PROFILE_FILE",
     "PERF_QUANTILES",
 ]
@@ -195,18 +205,27 @@ class LatencyDigest:
     def samples(self, cap: int = 2000) -> list[float]:
         """Representative samples reconstructed from the centroids.
 
-        Used by the regression gate's bootstrap: each centroid contributes
-        proportionally to its weight (at least one sample), capped at
-        ``cap`` values total.
+        Used by the regression gate's bootstrap: centroid ``i`` contributes
+        ``round(C_i · n / W) − round(C_{i−1} · n / W)`` samples, where
+        ``C_i`` is the cumulative weight through centroid ``i``, ``W`` the
+        total weight and ``n = min(cap, count)``. The counts are proportional
+        to the weights, sum to exactly ``n`` (so never more than ``cap``),
+        and a centroid too light for a sample of its own is absorbed by its
+        neighbours rather than inflating the total.
         """
         self._compress()
-        if self.count == 0:
+        if self.count == 0 or not self._means:
             return []
-        total = float(self.count)
+        total = sum(self._weights)
+        n = min(int(cap), self.count)
         out: list[float] = []
+        cum = 0.0
+        taken = 0
         for mean, w in zip(self._means, self._weights):
-            n = max(1, int(round(w / total * min(cap, total))))
-            out.extend([mean] * n)
+            cum += w
+            upto = min(n, int(round(cum / total * n)))
+            out.extend([mean] * (upto - taken))
+            taken = upto
         return sorted(out)
 
     # -- serialization ---------------------------------------------------------------
@@ -247,24 +266,49 @@ class LatencyDigest:
         return f"LatencyDigest(count={self.count}, centroids={len(self._means)})"
 
 
-class _NullTimer:
-    __slots__ = ()
+def _suggest_op(span: Any) -> Optional[tuple[str, float]]:
+    """``suggest`` per candidate; one ``suggest_fit`` per fit-bearing ask.
 
-    def __enter__(self) -> "_NullTimer":
-        return self
+    The runner stamps each trial's suggest span with ``fit`` (the ask
+    blocked on an inline surrogate fit) and ``batch`` (the ask's candidate
+    count on its first trial, 0 on the ask's later trials). The span itself
+    lasts the per-candidate share, so the first trial's span scaled by the
+    batch is the whole ask.
+    """
+    attributes = span.attributes
+    if not attributes.get("fit"):
+        return "suggest", span.duration_s
+    batch = attributes.get("batch", 1)
+    return ("suggest_fit", span.duration_s * batch) if batch else None
 
-    def __exit__(self, *exc: Any) -> bool:
-        return False
+
+def _execute_op(span: Any) -> Optional[tuple[str, float]]:
+    """``evaluate``, except for cache hits and attempts that timed out."""
+    attributes = span.attributes
+    if attributes.get("cache_hit") or attributes.get("status") == "timeout":
+        return None
+    return "evaluate", span.duration_s
 
 
-_NULL_TIMER = _NullTimer()
+#: span name -> the digest op it feeds: an op name (the span's duration is
+#: the sample) or a function of the span returning ``(op, seconds)`` or
+#: ``None``. The one place where hot-path spans become latency digests.
+SPAN_OPS: dict[str, Any] = {
+    "suggest": _suggest_op,
+    "execute": _execute_op,
+    "queue-wait": "queue_wait",
+    "tell": "tell",
+    "refit": "refit",
+    "cycle:deploy": "deploy",
+    "cycle:reconfigure": "reconfigure",
+    "evalcache_lookup": "evalcache_lookup",
+    "des_run": "des_run",
+    "hybrid.epoch": "hybrid_epoch",
+}
 
 
 class PerfRecorder:
     """Per-op latency digests plus a windowed time series; thread-safe."""
-
-    #: instrumentation sites branch on this to skip recording entirely.
-    enabled = True
 
     def __init__(
         self,
@@ -272,29 +316,45 @@ class PerfRecorder:
         window_s: float = 30.0,
         compression: int = 100,
         max_windows: int = 240,
+        started_at: Optional[float] = None,
     ) -> None:
         if window_s <= 0:
             raise ValueError(f"window_s must be > 0, got {window_s}")
         self.window_s = float(window_s)
         self.compression = int(compression)
         self.max_windows = int(max_windows)
-        #: wall-clock timestamp of the recorder's epoch (cross-process rebasing).
-        self.started_at = time.time()
+        #: wall-clock timestamp of the recorder's epoch; a tracer passes its
+        #: own, so a span's ``end_s`` is its offset into the window series.
+        self.started_at = time.time() if started_at is None else float(started_at)
         self._lock = threading.Lock()
         self._ops: dict[str, LatencyDigest] = {}
         self._windows: dict[int, dict[str, LatencyDigest]] = {}
 
     # -- recording -----------------------------------------------------------------
 
-    def record(self, op: str, seconds: float) -> None:
-        """Record one latency observation for ``op``."""
-        now = time.time()
+    def observe(self, span: Any) -> None:
+        """Digest one finished span through :data:`SPAN_OPS` (if it maps)."""
+        rule = SPAN_OPS.get(span.name)
+        if rule is None:
+            return
+        sample = (rule, span.duration_s) if isinstance(rule, str) else rule(span)
+        if sample is not None:
+            self.record(*sample, at_s=span.end_s)
+
+    def record(self, op: str, seconds: float, *, at_s: Optional[float] = None) -> None:
+        """Record one latency observation for ``op``.
+
+        ``at_s`` places the sample in the window series (seconds since
+        ``started_at``; default: now).
+        """
+        if at_s is None:
+            at_s = time.time() - self.started_at
         with self._lock:
             digest = self._ops.get(op)
             if digest is None:
                 digest = self._ops[op] = LatencyDigest(self.compression)
             digest.add(seconds)
-            index = int((now - self.started_at) / self.window_s)
+            index = max(0, int(at_s / self.window_s))
             window = self._windows.get(index)
             if window is None:
                 window = self._windows[index] = {}
@@ -305,12 +365,9 @@ class PerfRecorder:
                 wd = window[op] = LatencyDigest(self.compression)
             wd.add(seconds)
 
-    def timed(self, op: str) -> Any:
-        """Context manager recording the block's wall duration under ``op``."""
-        return self._timer(op)
-
     @contextmanager
-    def _timer(self, op: str) -> Iterator[None]:
+    def timed(self, op: str) -> Iterator[None]:
+        """Context manager recording the block's wall duration under ``op``."""
         start = time.perf_counter()
         try:
             yield
@@ -327,76 +384,6 @@ class PerfRecorder:
     def digest(self, op: str) -> Optional[LatencyDigest]:
         with self._lock:
             return self._ops.get(op)
-
-    # -- cross-process fabric ---------------------------------------------------------
-
-    def drain_state(self) -> dict[str, Any]:
-        """Serialize-and-reset: the worker-side half of the fabric.
-
-        Returns a JSON-able payload of every digest accumulated since the
-        last drain, then clears them (so per-trial drains never double
-        count), keeping the epoch so window indices stay meaningful.
-        """
-        with self._lock:
-            state = {
-                "started_at": self.started_at,
-                "window_s": self.window_s,
-                "ops": {op: d.to_dict() for op, d in self._ops.items()},
-                "windows": {
-                    str(i): {op: d.to_dict() for op, d in window.items()}
-                    for i, window in self._windows.items()
-                },
-            }
-            self._ops = {}
-            self._windows = {}
-        return state
-
-    def merge_state(self, state: Mapping[str, Any]) -> int:
-        """Merge a drained payload (typically from a worker process).
-
-        Foreign window indices are rebased onto this recorder's epoch via
-        the payload's ``started_at``. Returns the number of digests merged;
-        malformed entries are skipped, not fatal.
-        """
-        merged = 0
-        other_epoch = float(state.get("started_at", self.started_at))
-        other_window = float(state.get("window_s", self.window_s))
-        offset = other_epoch - self.started_at
-        with self._lock:
-            for op, data in dict(state.get("ops", {})).items():
-                try:
-                    foreign = LatencyDigest.from_dict(data)
-                except (TypeError, ValueError, KeyError):
-                    continue
-                if not foreign.count:
-                    continue
-                digest = self._ops.get(op)
-                if digest is None:
-                    digest = self._ops[op] = LatencyDigest(self.compression)
-                digest.merge(foreign)
-                merged += 1
-            for raw_index, window in dict(state.get("windows", {})).items():
-                try:
-                    start = offset + int(raw_index) * other_window
-                    index = max(0, int(start / self.window_s))
-                except (TypeError, ValueError):
-                    continue
-                target = self._windows.setdefault(index, {})
-                for op, data in dict(window).items():
-                    try:
-                        foreign = LatencyDigest.from_dict(data)
-                    except (TypeError, ValueError, KeyError):
-                        continue
-                    if not foreign.count:
-                        continue
-                    digest = target.get(op)
-                    if digest is None:
-                        digest = target[op] = LatencyDigest(self.compression)
-                    digest.merge(foreign)
-                    merged += 1
-            while len(self._windows) > self.max_windows:
-                del self._windows[min(self._windows)]
-        return merged
 
     # -- export --------------------------------------------------------------------
 
@@ -457,38 +444,3 @@ class PerfRecorder:
             lines.append(f'repro_latency_seconds_sum{{op="{op}"}} {digest.sum:.9g}')
             lines.append(f'repro_latency_seconds_count{{op="{op}"}} {digest.count}')
         return "\n".join(lines) + "\n"
-
-
-class NullPerfRecorder(PerfRecorder):
-    """The inert default: records nothing, allocates nothing."""
-
-    enabled = False
-
-    def record(self, op: str, seconds: float) -> None:
-        pass
-
-    def timed(self, op: str) -> Any:
-        return _NULL_TIMER
-
-    def drain_state(self) -> dict[str, Any]:
-        return {}
-
-    def merge_state(self, state: Mapping[str, Any]) -> int:
-        return 0
-
-
-_default_perf: PerfRecorder = NullPerfRecorder()
-_default_lock = threading.Lock()
-
-
-def get_perf() -> PerfRecorder:
-    """The process-global perf recorder (inert unless explicitly enabled)."""
-    return _default_perf
-
-
-def set_perf(recorder: Optional[PerfRecorder]) -> PerfRecorder:
-    """Install ``recorder`` globally (``None`` restores the null); returns it."""
-    global _default_perf
-    with _default_lock:
-        _default_perf = recorder if recorder is not None else NullPerfRecorder()
-        return _default_perf

@@ -1,28 +1,29 @@
 """The cross-process telemetry fabric.
 
-Process-pool workers used to be observability black holes: spans, metrics
-and latency digests recorded inside a worker died with the worker, so a
+Process-pool workers used to be observability black holes: spans and
+metrics recorded inside a worker died with the worker, so a
 process-executor campaign produced traces with empty evaluations. The
 fabric closes the loop in three moves:
 
 1. **activate** — the pool initializer calls :func:`activate_worker`, which
-   installs a worker-local recording tracer, metrics registry and perf
-   recorder (the same process-global slots the instrumented code already
-   publishes into — no instrumentation site changes);
+   installs a worker-local recording tracer and metrics registry (the same
+   process-global slots the instrumented code already publishes into — no
+   instrumentation site changes);
 2. **drain** — after each trial the worker calls :func:`drain_worker`,
    serializing everything recorded since the previous drain into one
    JSON-able payload shipped back alongside the trial result;
 3. **merge** — the parent calls :func:`merge_payload`, which remaps span
    ids, rebases the worker clock onto the parent tracer's timeline (via
    each tracer's ``started_at`` wall timestamp), stamps ``runner_id`` /
-   ``pid`` attribution onto every span, accumulates counters/histograms
-   into the parent registry and folds latency digests into the parent
-   recorder. Merged spans stream through the parent tracer's subscribers,
-   so the live watchdog sees worker-side spans too.
+   ``pid`` attribution onto every span and accumulates counters/histograms
+   into the parent registry. Merged spans stream through the parent
+   tracer's latency digests and subscribers, so worker-side ops are
+   digested exactly once, in the parent, and the live watchdog sees them
+   too.
 
 The payload is a plain dict of JSON types, so the same schema works over
-pickle (process pools today) or a wire protocol (the ROADMAP's multi-host
-runner backend tomorrow). Merge accounting is self-observable:
+pickle (process pools) or the wire (``POST /telemetry`` pushes from store
+workers on other hosts). Merge accounting is self-observable:
 ``repro_fabric_merged_spans_total`` / ``repro_fabric_merge_dropped_total``.
 """
 
@@ -31,11 +32,6 @@ from __future__ import annotations
 import os
 from typing import Any, Mapping, Optional
 
-from repro.observability.digest import (
-    PerfRecorder,
-    get_perf,
-    set_perf,
-)
 from repro.observability.metrics import (
     MetricsRegistry,
     get_registry,
@@ -91,7 +87,6 @@ def activate_worker(runner_name: str = "experiment") -> str:
     # buffered under the old identity must not leak into the new one.
     set_tracer(RecordingTracer())
     set_registry(MetricsRegistry())
-    set_perf(PerfRecorder())
     _runner_id = runner_id
     _activated_pid = pid
     return _runner_id
@@ -127,9 +122,6 @@ def drain_worker() -> Optional[dict[str, Any]]:
     registry = get_registry()
     if registry.enabled:
         payload["metrics"] = registry.drain_state()
-    perf = get_perf()
-    if perf.enabled:
-        payload["perf"] = perf.drain_state()
     return payload
 
 
@@ -138,7 +130,6 @@ def merge_payload(
     *,
     tracer: Any = None,
     registry: Any = None,
-    perf: Any = None,
     parent: Optional[Span] = None,
     attributes: Optional[dict[str, Any]] = None,
 ) -> int:
@@ -153,7 +144,6 @@ def merge_payload(
     """
     tracer = tracer if tracer is not None else get_tracer()
     registry = registry if registry is not None else get_registry()
-    perf = perf if perf is not None else get_perf()
     merged = 0
     dropped = 0
     if not isinstance(payload, Mapping) or payload.get("schema") != FABRIC_SCHEMA:
@@ -174,9 +164,6 @@ def merge_payload(
     metrics_state = payload.get("metrics")
     if metrics_state and getattr(registry, "enabled", False):
         registry.merge_state(metrics_state)
-    perf_state = payload.get("perf")
-    if perf_state and getattr(perf, "enabled", False):
-        perf.merge_state(perf_state)
     if getattr(registry, "enabled", False):
         registry.counter(
             "repro_fabric_merged_spans_total",

@@ -19,7 +19,7 @@ run. The live plane attaches a stdlib :class:`ThreadingHTTPServer` to a
   subscribes to ``/events``);
 - ``POST /telemetry`` — token-authenticated ingest of telemetry-fabric
   payloads, so ``python -m repro worker --push-telemetry URL`` on another
-  host streams spans/metrics/digests back *mid-campaign* instead of only
+  host streams spans/metrics back *mid-campaign* instead of only
   embedding them in trial outcomes.
 
 The monitor writes a ``monitor.json`` discovery file into the run
@@ -48,7 +48,6 @@ from typing import Any, Callable, Iterator, Mapping, Optional
 
 from repro.errors import ValidationError
 from repro.observability import fabric
-from repro.observability.digest import get_perf
 from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 from repro.observability.watchdog import get_watchdog
@@ -537,8 +536,8 @@ class LiveMonitor:
         registry = get_registry()
         if getattr(registry, "enabled", False):
             parts.append(registry.render_prometheus())
-        perf = get_perf()
-        if getattr(perf, "enabled", False):
+        perf = get_tracer().perf
+        if perf is not None:
             parts.append(perf.render_prometheus())
         parts.append(self._render_self_metrics())
         return "\n".join(part.rstrip("\n") for part in parts if part) + "\n"
@@ -619,8 +618,7 @@ class LiveMonitor:
             if watchdog is not None
             else []
         )
-        perf = get_perf()
-        perf_doc = perf.to_dict() if getattr(perf, "enabled", False) else None
+        perf_doc = tracer.perf.to_dict() if tracer.perf is not None else None
         return render_dashboard(
             analysis,
             title=f"{self.name} (live)",

@@ -26,6 +26,10 @@ untouched. Enable tracing explicitly::
 Spans nest per-thread (a thread-local stack, not contextvars, so worker
 threads of a :class:`~concurrent.futures.ThreadPoolExecutor` start clean);
 cross-thread parentage is passed explicitly via ``parent=``.
+
+A recording tracer also derives the hot-path latency digests: every span
+it finishes or ingests passes once through
+:data:`repro.observability.digest.SPAN_OPS` into ``tracer.perf``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
+
+from repro.observability.digest import PerfRecorder
 
 __all__ = [
     "Span",
@@ -149,6 +155,8 @@ class Tracer:
 
     #: instrumentation sites branch on this to skip work entirely.
     enabled: bool = False
+    #: latency digests derived from the finished spans (recording tracers).
+    perf: Optional[PerfRecorder] = None
 
     def span(
         self,
@@ -208,6 +216,8 @@ class RecordingTracer(Tracer):
         #: wall-clock timestamp of the epoch, for report headers and for
         #: rebasing spans merged from other processes (the telemetry fabric).
         self.started_at = time.time()
+        #: every finished span (own and ingested) is digested here, once.
+        self.perf = PerfRecorder(started_at=self.started_at)
         self._next_id = 0
         self._finished: list[Span] = []
         self._stack = threading.local()
@@ -277,6 +287,7 @@ class RecordingTracer(Tracer):
             self._finished.append(span)
             self.spans_recorded += 1
             subscribers = list(self._subscribers) if self._subscribers else None
+        self.perf.observe(span)
         if subscribers is not None:
             self._notify(span, subscribers)
 
@@ -351,8 +362,9 @@ class RecordingTracer(Tracer):
         to ``parent`` (typically the trial span). ``epoch_unix`` — the
         foreign tracer's ``started_at`` — rebases the foreign clock onto
         this tracer's timeline. ``attributes`` (``runner_id``/``pid``/...)
-        are stamped onto every merged span. Subscribers (the live watchdog)
-        see each merged span exactly as if it finished locally.
+        are stamped onto every merged span. The latency digests and the
+        subscribers (the live watchdog) see each merged span exactly as if
+        it finished locally.
 
         Returns ``(merged, dropped)``; malformed entries are dropped, never
         fatal.
@@ -389,6 +401,8 @@ class RecordingTracer(Tracer):
             self._finished.extend(accepted)
             self.spans_recorded += len(accepted)
             subscribers = list(self._subscribers) if self._subscribers else None
+        for span in accepted:
+            self.perf.observe(span)
         if subscribers is not None:
             for span in accepted:
                 self._notify(span, subscribers)

@@ -25,7 +25,6 @@ from typing import Any, Mapping
 from repro.errors import OptimizationError
 from repro.experiments import EvaluationRecord, ExperimentArchive, ExperimentManifest
 from repro.observability import export as export_observability_artifacts
-from repro.observability.digest import get_perf
 from repro.observability.metrics import get_registry
 from repro.observability.trace import Tracer, get_tracer
 from repro.optimizer.problem import OptimizationProblem
@@ -129,14 +128,13 @@ class Optimization(abc.ABC):
         *optimize*, is the runner's suggest/tell pair).
         """
         tracer = self.tracer
-        perf = get_perf()
         start = time.perf_counter()
-        with tracer.span("cycle:deploy"), perf.timed("deploy"):
+        with tracer.span("cycle:deploy"):
             directory = self.prepare()
         with tracer.span("cycle:execute"):
             metrics = dict(self.launch(config))
         metrics[SCALAR_METRIC] = self.problem.scalarize(metrics)
-        with tracer.span("cycle:reconfigure"), perf.timed("reconfigure"):
+        with tracer.span("cycle:reconfigure"):
             self.finalize(directory, config, metrics)
         registry = get_registry()
         if registry.enabled:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -86,28 +85,19 @@ class EvalCache:
         ``min_replicates`` stored results; the first stored replicate is
         returned, so a deterministic objective replays byte-identically.
         """
-        from repro.observability.digest import get_perf
+        from repro.observability.trace import get_tracer
 
-        perf = get_perf()
-        if not perf.enabled:
-            return self._lookup(config)
-        start = time.perf_counter()
-        try:
-            return self._lookup(config)
-        finally:
-            perf.record("evalcache_lookup", time.perf_counter() - start)
-
-    def _lookup(self, config: Mapping[str, Any]) -> Optional[dict[str, float]]:
-        key = self.key(config)
-        with self._lock:
-            replicates = self._entries.get(key)
-            if replicates is not None and len(replicates) >= self.min_replicates:
-                self.hits += 1
-                self._count("hits")
-                return dict(replicates[0])
-            self.misses += 1
-            self._count("misses")
-            return None
+        with get_tracer().span("evalcache_lookup"):
+            key = self.key(config)
+            with self._lock:
+                replicates = self._entries.get(key)
+                if replicates is not None and len(replicates) >= self.min_replicates:
+                    self.hits += 1
+                    self._count("hits")
+                    return dict(replicates[0])
+                self.misses += 1
+                self._count("misses")
+                return None
 
     def store(
         self,

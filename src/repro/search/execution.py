@@ -36,7 +36,6 @@ from typing import Any, Callable, Optional
 from repro.errors import TrialError
 from repro.faults.context import injection_occurred, reset_injection_flag, set_current_attempt
 from repro.observability import fabric
-from repro.observability.digest import get_perf
 from repro.observability.trace import get_tracer
 
 __all__ = [
@@ -123,7 +122,7 @@ def pool_init(
     """Process-pool initializer: register the trainable once per worker.
 
     With ``telemetry`` the worker also joins the cross-process fabric —
-    a worker-local tracer/registry/perf recorder captures everything the
+    a worker-local tracer/registry captures everything the
     trainable's instrumentation records, shipped back per trial.
     """
     global _WORKER_TRAINABLE
@@ -192,7 +191,7 @@ def process_entry(
 
     In a fabric-activated worker the payload additionally carries
     worker-measured ``queue_wait_s``/``evaluate_s`` and a ``telemetry``
-    blob (spans, metrics, latency digests) for the parent to merge.
+    blob (spans and metrics) for the parent to merge.
     """
     if trainable is None:
         trainable = _WORKER_TRAINABLE
@@ -200,19 +199,15 @@ def process_entry(
             return {"ok": False, "error": "no trainable registered in worker", "retries": 0, "timeouts": 0, "tainted": True}
     if not fabric.worker_active():
         return process_attempts(trainable, config, max_retries, backoff_s, timeout_s)
-    perf = get_perf()
     queue_wait = 0.0
     if submitted_unix is not None:
         # Submit→pickup across the process boundary: only wall clocks are
         # shared, so the parent stamps a unix timestamp at submit time.
         queue_wait = max(0.0, time.time() - float(submitted_unix))
-        perf.record("queue_wait", queue_wait)
-    tracer = get_tracer()
     start = time.perf_counter()
-    with tracer.span("evaluate", trial_id=trial_id):
+    with get_tracer().span("evaluate", trial_id=trial_id):
         result = process_attempts(trainable, config, max_retries, backoff_s, timeout_s)
     evaluate_s = time.perf_counter() - start
-    perf.record("evaluate", evaluate_s)
     result["queue_wait_s"] = queue_wait
     result["evaluate_s"] = evaluate_s
     result["telemetry"] = fabric.drain_worker()

@@ -41,7 +41,6 @@ from repro.bayesopt.space import Space
 from repro.errors import TrialError, ValidationError
 from repro.faults.context import injection_occurred, reset_injection_flag, set_current_attempt
 from repro.observability import fabric
-from repro.observability.digest import get_perf
 from repro.observability.metrics import get_registry
 from repro.observability.profile import CostBreakdown, aggregate_costs
 from repro.observability.trace import Tracer, get_tracer
@@ -64,11 +63,20 @@ from repro.search.trial import Reporter, StopTrial, Trial, TrialStatus
 
 __all__ = ["TrialRunner", "ExperimentAnalysis", "run"]
 
-#: persistence callback. Single-argument callables receive the finished
-#: trial records; two-argument callables additionally receive the
+#: persistence callback: receives the finished trial records and the
 #: searcher's ``state_dict()`` (refit cadence, hedge gains) so ``--resume``
 #: restores the optimization cadence, not just the observations.
-Checkpointer = Callable[..., Any]
+Checkpointer = Callable[[list[dict[str, Any]], Optional[dict[str, Any]]], Any]
+
+
+def _takes_reporter(trainable: Trainable) -> bool:
+    """Whether ``trainable`` takes a second (:class:`Reporter`) parameter."""
+    import inspect
+
+    try:
+        return len(inspect.signature(trainable).parameters) >= 2
+    except (TypeError, ValueError):
+        return False
 
 
 @dataclass
@@ -176,6 +184,8 @@ class TrialRunner:
         if checkpoint_every < 1:
             raise ValidationError("checkpoint_every must be >= 1")
         self.trainable = trainable
+        #: two-parameter trainables also receive a :class:`Reporter`.
+        self._wants_reporter = _takes_reporter(trainable)
         self.search_alg = search_alg
         self.metric = metric
         self.mode = mode
@@ -195,6 +205,9 @@ class TrialRunner:
         self.retry_backoff_s = float(retry_backoff_s)
         self.trial_timeout_s = None if trial_timeout_s is None else float(trial_timeout_s)
         self.backend_options = dict(backend_options or {})
+        #: explicit tracer, or ``None`` to follow the process-global one
+        #: installed when :meth:`run` starts.
+        self._explicit_tracer = tracer
         self._tracer = tracer if tracer is not None else get_tracer()
         #: the live status board (resolved lazily in run(); inert by default,
         #: so the hooks cost one attribute check when nothing serves).
@@ -211,7 +224,6 @@ class TrialRunner:
         #: searcher state from the checkpoint, restored after replay.
         self._resume_searcher_state = resume_searcher_state
         self._checkpoint = checkpoint
-        self._checkpoint_takes_state = self._accepts_state(checkpoint)
         self.checkpoint_every = int(checkpoint_every)
         #: memoizing trial cache consulted before executor submission.
         self.eval_cache = eval_cache
@@ -226,75 +238,33 @@ class TrialRunner:
             self._log_path = directory / f"{name}.jsonl"
             self._log_path.write_text("")  # truncate previous runs
 
-    @staticmethod
-    def _accepts_state(checkpoint: Checkpointer | None) -> bool:
-        """Whether the checkpointer takes a second (searcher state) argument."""
-        if checkpoint is None:
-            return False
-        import inspect
-
-        try:
-            params = list(inspect.signature(checkpoint).parameters.values())
-        except (TypeError, ValueError):
-            return False
-        positional = [
-            p
-            for p in params
-            if p.kind
-            in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-        ]
-        if any(p.kind is inspect.Parameter.VAR_POSITIONAL for p in params):
-            return True
-        return len(positional) >= 2
-
     def _observing(self) -> bool:
         """Whether any telemetry consumer is active (workers should join)."""
-        return bool(self._tracer.enabled or get_registry().enabled or get_perf().enabled)
+        return bool(self._tracer.enabled or get_registry().enabled)
 
     # -- observability hooks ---------------------------------------------------------
 
-    def _suggest(self, trial_id: str) -> tuple[Optional[dict[str, Any]], float]:
-        """Time one ``suggest`` call (acquisition + surrogate read)."""
+    def _ask(self, trial_ids: list[str]) -> tuple[list[dict[str, Any]], float, bool]:
+        """Time one ask; returns the configs, the per-config cost, and
+        whether the ask blocked on an inline surrogate fit."""
         fits_before = self.search_alg.fit_count()
         start = time.perf_counter()
-        config = self.search_alg.suggest(trial_id)
-        elapsed = time.perf_counter() - start
-        if config is not None:
-            self._record_suggest(elapsed, 1, fits_before)
-        return config, elapsed
-
-    def _suggest_batch(self, trial_ids: list[str]) -> tuple[list[dict[str, Any]], float]:
-        """Time one batched suggest; returns configs and the per-config cost."""
-        fits_before = self.search_alg.fit_count()
-        start = time.perf_counter()
-        configs = self.search_alg.suggest_batch(trial_ids)
-        elapsed = time.perf_counter() - start
-        if configs:
-            self._record_suggest(elapsed, len(configs), fits_before)
-        return configs, elapsed / len(configs) if configs else elapsed
-
-    def _record_suggest(self, elapsed: float, n_configs: int, fits_before: int) -> None:
-        """Split suggest latency into fit-bearing and amortized series.
-
-        One digest mixing ~0.5 µs prefetch hits with fit-bearing asks makes
-        every percentile meaningless, so the two populations are recorded
-        apart: ``suggest_fit`` holds the *whole* elapsed time of an ask that
-        blocked on an inline surrogate fit; ``suggest`` holds the
-        per-candidate cost of everything else (prefetch pops, model reads,
-        cold design draws — the steady-state hot path).
-        """
-        perf = get_perf()
-        if not perf.enabled:
-            return
-        if self.search_alg.fit_count() > fits_before:
-            perf.record("suggest_fit", elapsed)
+        if len(trial_ids) == 1:
+            config = self.search_alg.suggest(trial_ids[0])
+            configs = [] if config is None else [config]
         else:
-            per_candidate = elapsed / n_configs
-            for _ in range(n_configs):
-                perf.record("suggest", per_candidate)
+            configs = self.search_alg.suggest_batch(trial_ids)
+        elapsed = time.perf_counter() - start
+        fit = self.search_alg.fit_count() > fits_before
+        return configs, elapsed / len(configs) if configs else elapsed, fit
 
-    def _open_trial(self, trial: Trial, suggest_s: float) -> None:
-        """Record the suggest cost; open the trial span if tracing."""
+    def _open_trial(self, trial: Trial, suggest_s: float, *, fit: bool, batch: int) -> None:
+        """Record the suggest cost; open the trial span if tracing.
+
+        The suggest child span carries ``fit`` and ``batch`` (the ask's size
+        on its first trial, 0 on the rest) so the latency digests keep
+        fit-bearing asks apart from the amortized per-candidate hot path.
+        """
         trial.cost["suggest_s"] = suggest_s
         tracer = self._tracer
         if not tracer.enabled:
@@ -305,8 +275,7 @@ class TrialRunner:
         )
         with self._lock:
             self._trial_spans[trial.trial_id] = span
-        child = tracer.start_span("suggest", parent=span, start=now - suggest_s)
-        tracer.end_span(child)
+        self._child_span(trial, "suggest", suggest_s, end=now, fit=fit, batch=batch)
 
     def _close_trial(self, trial: Trial) -> None:
         tracer = self._tracer
@@ -323,55 +292,41 @@ class TrialRunner:
                     span.set(key, int(trial.cost[key]))
             tracer.end_span(span, error=trial.error)
 
-    def _record_execute_span(self, trial: Trial, duration_s: float) -> None:
-        """Emit the execute child span, backdated by the measured duration."""
-        tracer = self._tracer
-        if not tracer.enabled:
-            return
-        with self._lock:
-            parent = self._trial_spans.get(trial.trial_id)
-        # Children finish (and stream to watchdog subscribers) before their
-        # trial parent, so each carries the trial identity itself.
-        span = tracer.start_span(
-            "execute",
-            parent=parent,
-            start=tracer.clock() - duration_s,
-            trial_id=trial.trial_id,
-        )
-        span.set("status", trial.status.value)
-        tracer.end_span(span, error=trial.error)
+    def _child_span(
+        self,
+        trial: Trial,
+        name: str,
+        duration_s: float,
+        *,
+        end: float | None = None,
+        error: str | None = None,
+        **attributes: Any,
+    ) -> None:
+        """Emit one finished child of the trial span, ``duration_s`` long.
 
-    def _record_queue_wait(self, trial: Trial) -> None:
-        """Record the executor queue wait (submit → worker pickup)."""
-        submitted = trial._submitted
-        if submitted is None:
-            return
-        wait_s = time.perf_counter() - submitted
-        trial.cost["queue_wait_s"] = wait_s
-        get_perf().record("queue_wait", wait_s)
+        The span ends at ``end`` on the tracer clock (default: now). Children
+        finish (and stream to subscribers and the latency digests) before
+        their trial parent, so each carries the trial identity itself, plus
+        the ``attributes`` the digest table reads (``fit``/``batch`` on
+        suggest, ``cache_hit``/``status`` on execute).
+        """
         tracer = self._tracer
         if not tracer.enabled:
             return
         with self._lock:
             parent = self._trial_spans.get(trial.trial_id)
+        if end is None:
+            end = tracer.clock()
         span = tracer.start_span(
-            "queue-wait",
+            name,
             parent=parent,
-            start=tracer.clock() - wait_s,
+            start=end - duration_s,
             trial_id=trial.trial_id,
+            **attributes,
         )
-        tracer.end_span(span)
+        tracer.end_span(span, error=error, end=end)
 
     # -- single-trial execution -----------------------------------------------------
-
-    def _wants_reporter(self) -> bool:
-        import inspect
-
-        try:
-            params = inspect.signature(self.trainable).parameters
-        except (TypeError, ValueError):
-            return False
-        return len(params) >= 2
 
     def _execute_inline(self, trial: Trial, attempt: int = 0) -> None:
         reporter = Reporter(trial, self._on_report, self._lock)
@@ -380,7 +335,7 @@ class TrialRunner:
         start = time.perf_counter()
         trial.status = TrialStatus.RUNNING
         try:
-            if self._wants_reporter():
+            if self._wants_reporter:
                 raw = self.trainable(dict(trial.config), reporter)
             else:
                 raw = self.trainable(dict(trial.config))
@@ -400,8 +355,9 @@ class TrialRunner:
             trial.cost["fault_injected"] = 1.0
         trial.runtime_s = time.perf_counter() - start
         trial.cost["evaluate_s"] = trial.runtime_s
-        get_perf().record("evaluate", trial.runtime_s)
-        self._record_execute_span(trial, trial.runtime_s)
+        self._child_span(
+            trial, "execute", trial.runtime_s, error=trial.error, status=trial.status.value
+        )
 
     def _run_attempt(self, scratch: Trial, attempt: int) -> bool:
         """Run one attempt; ``False`` means it hit the per-trial timeout.
@@ -464,7 +420,13 @@ class TrialRunner:
                 )
                 trial.status = TrialStatus.ERROR
                 total_runtime += self.trial_timeout_s or 0.0
-                self._record_timeout_span(trial)
+                self._child_span(
+                    trial,
+                    "execute",
+                    self.trial_timeout_s or 0.0,
+                    error=trial.error,
+                    status="timeout",
+                )
             if trial.status in (TrialStatus.TERMINATED, TrialStatus.STOPPED):
                 break
             if attempt < attempts - 1:
@@ -492,21 +454,6 @@ class TrialRunner:
                 "repro_trial_timeouts_total", "trial attempts that hit the per-trial timeout"
             ).inc(timeouts)
 
-    def _record_timeout_span(self, trial: Trial) -> None:
-        tracer = self._tracer
-        if not tracer.enabled:
-            return
-        with self._lock:
-            parent = self._trial_spans.get(trial.trial_id)
-        span = tracer.start_span(
-            "execute",
-            parent=parent,
-            start=tracer.clock() - (self.trial_timeout_s or 0.0),
-            trial_id=trial.trial_id,
-        )
-        span.set("status", "timeout")
-        tracer.end_span(span, error=trial.error)
-
     # -- evaluation cache -------------------------------------------------------------
 
     def _cache_lookup(self, trial: Trial) -> bool:
@@ -526,7 +473,7 @@ class TrialRunner:
         trial.runtime_s = 0.0
         trial.cost["evaluate_s"] = 0.0
         trial.cost["cache_hit"] = 1.0
-        self._record_execute_span(trial, 0.0)
+        self._child_span(trial, "execute", 0.0, status=trial.status.value, cache_hit=True)
         return True
 
     def _cache_store(self, trial: Trial) -> None:
@@ -576,18 +523,7 @@ class TrialRunner:
                 start = time.perf_counter()
                 self.search_alg.on_trial_complete(trial.trial_id, trial.config, value)
                 trial.cost["tell_s"] = time.perf_counter() - start
-                get_perf().record("tell", trial.cost["tell_s"])
-                tracer = self._tracer
-                if tracer.enabled:
-                    with self._lock:
-                        parent = self._trial_spans.get(trial.trial_id)
-                    span = tracer.start_span(
-                        "tell",
-                        parent=parent,
-                        start=tracer.clock() - trial.cost["tell_s"],
-                        trial_id=trial.trial_id,
-                    )
-                    tracer.end_span(span)
+                self._child_span(trial, "tell", trial.cost["tell_s"])
         finally:
             self._close_trial(trial)
             self._log_trial(trial)
@@ -616,10 +552,7 @@ class TrialRunner:
             return
         self._since_checkpoint = 0
         records = [t.to_dict() for t in self._finished]
-        if self._checkpoint_takes_state:
-            self._checkpoint(records, self.search_alg.state_dict())
-        else:
-            self._checkpoint(records)
+        self._checkpoint(records, self.search_alg.state_dict())
 
     def _replay_resumed(self, trials: list[Trial]) -> int:
         """Feed checkpointed trials back into the searcher without re-executing.
@@ -656,6 +589,8 @@ class TrialRunner:
         from repro.observability.live import get_status_board
 
         self._board = get_status_board()
+        if self._explicit_tracer is None:
+            self._tracer = get_tracer()
         start = time.perf_counter()
         trials: list[Trial] = []
         created = self._replay_resumed(trials)
@@ -673,18 +608,16 @@ class TrialRunner:
                     if want <= 0:
                         break
                     ids = [f"{self.name}_{created + k:05d}" for k in range(want)]
-                    if want == 1:
-                        config, suggest_s = self._suggest(ids[0])
-                        configs = [] if config is None else [config]
-                    else:
-                        configs, suggest_s = self._suggest_batch(ids)
+                    configs, suggest_s, fit = self._ask(ids)
                     if not configs:
                         if not futures:
                             exhausted = True  # nothing pending → truly done
                         break
-                    for config in configs:
+                    for k, config in enumerate(configs):
                         trial = Trial(trial_id=f"{self.name}_{created:05d}", config=config)
-                        self._open_trial(trial, suggest_s)
+                        self._open_trial(
+                            trial, suggest_s, fit=fit, batch=0 if k else len(configs)
+                        )
                         trials.append(trial)
                         created += 1
                         if self._cache_lookup(trial):
@@ -730,7 +663,11 @@ class TrialRunner:
         return self._analysis(trials, start)
 
     def _run_threaded(self, trial: Trial) -> None:
-        self._record_queue_wait(trial)
+        """Thread-pool entry: record the submit → pickup wait, then execute."""
+        if trial._submitted is not None:
+            wait_s = time.perf_counter() - trial._submitted
+            trial.cost["queue_wait_s"] = wait_s
+            self._child_span(trial, "queue-wait", wait_s)
         self._execute_with_retry(trial)
 
     def _fold_worker_payload(self, trial: Trial, payload: Any) -> None:
@@ -780,17 +717,23 @@ class TrialRunner:
                 max(float(worker.get("queue_wait_s", 0.0)), 0.0),
                 max(wall - evaluate_s, 0.0),
             )
-            trial.cost["evaluate_s"] = evaluate_s
             if queue_wait_s > 0:
                 trial.cost["queue_wait_s"] = queue_wait_s
-                self._record_process_wait_span(trial, wall, queue_wait_s)
-            self._record_execute_span(trial, evaluate_s)
+                # The wait happened at the *start* of the submit→collect wall.
+                self._child_span(
+                    trial,
+                    "queue-wait",
+                    queue_wait_s,
+                    end=self._tracer.clock() - wall + queue_wait_s,
+                )
         else:
             # Pre-fabric fallback: only the submit→collect wall is
             # observable, queue wait included.
-            trial.cost["evaluate_s"] = wall
-            get_perf().record("evaluate", wall)
-            self._record_execute_span(trial, wall)
+            evaluate_s = wall
+        trial.cost["evaluate_s"] = evaluate_s
+        self._child_span(
+            trial, "execute", evaluate_s, error=trial.error, status=trial.status.value
+        )
         telemetry = payload.get("telemetry") if isinstance(payload, dict) else None
         if telemetry is not None:
             with self._lock:
@@ -798,26 +741,6 @@ class TrialRunner:
             fabric.merge_payload(
                 telemetry, parent=trial_span, attributes={"trial_id": trial.trial_id}
             )
-
-    def _record_process_wait_span(
-        self, trial: Trial, wall_s: float, queue_wait_s: float
-    ) -> None:
-        """Backdated queue-wait span for worker-measured queue waits.
-
-        The wait happened at the *start* of the submit→collect wall, so the
-        span is stamped ``[now - wall, now - wall + wait]`` via the explicit
-        ``end=`` override.
-        """
-        tracer = self._tracer
-        if not tracer.enabled:
-            return
-        with self._lock:
-            parent = self._trial_spans.get(trial.trial_id)
-        now = tracer.clock()
-        span = tracer.start_span(
-            "queue-wait", parent=parent, start=now - wall_s, trial_id=trial.trial_id
-        )
-        tracer.end_span(span, end=now - wall_s + queue_wait_s)
 
     def _analysis(self, trials: list[Trial], start: float) -> ExperimentAnalysis:
         return ExperimentAnalysis(

@@ -151,7 +151,6 @@ def _execute_claim(
     push: Any = None,
 ) -> dict[str, Any]:
     """Run one claimed trial and build its ledger outcome payload."""
-    from repro.observability.digest import get_perf
     from repro.observability.trace import get_tracer
 
     if not (telemetry and fabric.worker_active()):
@@ -159,14 +158,12 @@ def _execute_claim(
             trainable, dict(claim.config), max_retries, backoff_s, timeout_s
         )
     else:
-        tracer = get_tracer()
         start = time.perf_counter()
-        with tracer.span("evaluate", trial_id=claim.trial_id):
+        with get_tracer().span("evaluate", trial_id=claim.trial_id):
             outcome = process_attempts(
                 trainable, dict(claim.config), max_retries, backoff_s, timeout_s
             )
         evaluate_s = time.perf_counter() - start
-        get_perf().record("evaluate", evaluate_s)
         outcome["evaluate_s"] = evaluate_s
         payload = fabric.drain_worker()
         pushed = False

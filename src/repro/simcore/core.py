@@ -410,21 +410,17 @@ class Environment:
                 heapq.heappush(self._queue, (at, -1, self._eid, stop))
             stop.callbacks.append(_stop_callback)
 
-        from repro.observability.digest import get_perf
+        from repro.observability.trace import get_tracer
 
-        perf = get_perf()
-        track = self._stats is not None or perf.enabled
-        wall_start = time.perf_counter() if track else 0.0
-        try:
-            self._run_loop(wall_deadline, wall_timeout_s)
-        except StopSimulation as signal:
-            return signal.args[0] if signal.args else None
-        finally:
-            if track:
-                elapsed = time.perf_counter() - wall_start
+        wall_start = time.perf_counter() if self._stats is not None else 0.0
+        with get_tracer().span("des_run"):
+            try:
+                self._run_loop(wall_deadline, wall_timeout_s)
+            except StopSimulation as signal:
+                return signal.args[0] if signal.args else None
+            finally:
                 if self._stats is not None:
-                    self._stats.wall_s += elapsed
-                perf.record("des_run", elapsed)
+                    self._stats.wall_s += time.perf_counter() - wall_start
 
         if stop is not None and isinstance(until, Event) and not stop.triggered:
             raise SimulationError(

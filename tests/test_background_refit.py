@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
+import repro.observability as obs
 from repro.bayesopt import Integer, Optimizer, Real, Space
 from repro.errors import ValidationError
 from repro.experiments import ExperimentArchive, ExperimentManifest
-from repro.observability.digest import PerfRecorder, set_perf
 from repro.search.algos import ConcurrencyLimiter, SurrogateSearch
 from repro.search.runner import TrialRunner
 from repro.surrogate.forest import ExtraTreesRegressor
@@ -325,8 +325,7 @@ class TestSuggestDigestSplit:
     def test_suggest_and_suggest_fit_series(self):
         """Fit-bearing asks and amortized suggests land in separate digests,
         and every surrogate fit records a refit observation."""
-        perf = PerfRecorder()
-        set_perf(perf)
+        tracer, _ = obs.enable()
         try:
             space = Space([Integer(0, 40, name="n"), Real(-2, 2, name="r")])
             search = SurrogateSearch(
@@ -341,7 +340,7 @@ class TestSuggestDigestSplit:
                 name="digest-split",
             )
             runner.run()
-            ops = perf.ops()
+            ops = tracer.perf.ops()
             assert "suggest" in ops
             assert "suggest_fit" in ops
             assert "refit" in ops
@@ -354,4 +353,4 @@ class TestSuggestDigestSplit:
             if ops["suggest"].count and ops["suggest_fit"].count:
                 assert ops["suggest"].quantile(0.5) < ops["suggest_fit"].quantile(0.5)
         finally:
-            set_perf(None)
+            obs.disable()

@@ -499,11 +499,10 @@ class TestAtomicCheckpoints:
 
 class TestFabricReactivation:
     def test_reactivation_resets_stale_identity(self):
-        from repro.observability.digest import PerfRecorder, get_perf, set_perf
         from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
         from repro.observability.trace import get_tracer, set_tracer
 
-        saved = (get_tracer(), get_registry(), get_perf())
+        saved = (get_tracer(), get_registry())
         saved_id = (fabric._runner_id, fabric._activated_pid)
         try:
             first = fabric.activate_worker("alpha")
@@ -526,5 +525,4 @@ class TestFabricReactivation:
         finally:
             set_tracer(saved[0])
             set_registry(MetricsRegistry() if saved[1] is None else saved[1])
-            set_perf(PerfRecorder() if saved[2] is None else saved[2])
             fabric._runner_id, fabric._activated_pid = saved_id

@@ -6,21 +6,23 @@ import random
 
 import pytest
 
-from repro.observability.digest import (
-    PERF_PROFILE_FILE,
-    LatencyDigest,
-    NullPerfRecorder,
-    PerfRecorder,
-    get_perf,
-    set_perf,
-)
+import repro.observability as obs
+from repro.observability.digest import PERF_PROFILE_FILE, LatencyDigest, PerfRecorder
 from repro.observability.profile import aggregate_costs
+from repro.observability.trace import NoopTracer, RecordingTracer, get_tracer
 
 
 @pytest.fixture(autouse=True)
-def _clean_perf():
+def _clean_globals():
     yield
-    set_perf(None)
+    obs.disable()
+
+
+def _finished(tracer, name, duration_s, **attributes):
+    """One finished span of ``name`` lasting exactly ``duration_s``."""
+    end = tracer.clock()
+    span = tracer.start_span(name, start=end - duration_s, **attributes)
+    tracer.end_span(span, end=end)
 
 
 class TestLatencyDigest:
@@ -94,6 +96,27 @@ class TestLatencyDigest:
         assert samples
         assert min(samples) >= 0.0 and max(samples) <= 1.0
 
+    @pytest.mark.parametrize("n", [20_000, 100_000])
+    def test_samples_respect_the_cap(self, n):
+        """Regression: a one-sample floor per centroid overshot the cap
+        (2262 samples for 100k exponential values at the default cap)."""
+        rng = random.Random(5)
+        digest = LatencyDigest()
+        for _ in range(n):
+            digest.add(rng.expovariate(1.0))
+        samples = digest.samples()
+        assert len(samples) == 2000
+        assert samples == sorted(samples)
+        assert len(digest.samples(cap=500)) == 500
+        # the reconstruction still tracks the distribution
+        assert samples[len(samples) // 2] == pytest.approx(digest.quantile(0.5), rel=0.05)
+
+    def test_samples_below_the_cap_keep_every_observation(self):
+        digest = LatencyDigest()
+        for i in range(300):
+            digest.add(float(i))
+        assert len(digest.samples(cap=2000)) == 300
+
     def test_percentiles_rollup_keys(self):
         digest = LatencyDigest()
         digest.add(1.0)
@@ -115,26 +138,31 @@ class TestPerfRecorder:
             pass
         assert perf.digest("deploy").count == 1
 
-    def test_drain_resets(self):
-        perf = PerfRecorder()
-        perf.record("tell", 0.01)
-        state = perf.drain_state()
-        assert state["ops"]["tell"]["count"] == 1
-        assert "tell" not in perf.ops()
-
-    def test_merge_state_rebases_windows(self):
-        worker = PerfRecorder(window_s=1.0)
-        worker.record("evaluate", 0.5)
-        state = worker.drain_state()
-        parent = PerfRecorder(window_s=1.0)
-        merged = parent.merge_state(state)
-        assert merged >= 1
-        assert parent.digest("evaluate").count == 1
-
     def test_merge_garbage_is_safe(self):
-        parent = PerfRecorder()
-        assert parent.merge_state({"ops": {"x": {"digest": "nope"}}}) == 0
-        assert parent.merge_state({}) == 0
+        """Malformed worker spans are dropped at ingest, never digested."""
+        parent = RecordingTracer()
+        merged, dropped = parent.ingest(
+            [{"name": "execute"}, {"garbage": 1}, {"name": "tell", "span_id": 1}]
+        )
+        assert (merged, dropped) == (0, 3)
+        assert parent.perf.ops() == {}
+
+    def test_null_recorder_is_inert(self):
+        """The inert default tracer has no recorder; its spans digest nothing."""
+        tracer = NoopTracer()
+        assert tracer.perf is None
+        with tracer.span("execute", status="terminated"):
+            pass
+        assert get_tracer().perf is None
+
+    def test_global_slot(self):
+        """The live recorder is the installed tracer's, on and off with it."""
+        assert get_tracer().perf is None
+        tracer, _ = obs.enable()
+        assert isinstance(tracer.perf, PerfRecorder)
+        assert get_tracer().perf is tracer.perf
+        obs.disable()
+        assert get_tracer().perf is None
 
     def test_export_and_prometheus(self, tmp_path):
         perf = PerfRecorder()
@@ -149,21 +177,86 @@ class TestPerfRecorder:
         assert 'repro_latency_seconds{op="suggest",quantile="0.5"}' in prom
         assert "summary" in prom
 
-    def test_null_recorder_is_inert(self):
-        null = NullPerfRecorder()
-        null.record("suggest", 1.0)
-        with null.timed("suggest"):
-            pass
-        assert not null.enabled
-        assert null.ops() == {}
 
-    def test_global_slot(self):
-        assert not get_perf().enabled
-        live = PerfRecorder()
-        set_perf(live)
-        assert get_perf() is live
-        set_perf(None)
-        assert not get_perf().enabled
+
+class TestSpanDerivedDigests:
+    def test_each_mapped_span_is_one_sample(self):
+        tracer = RecordingTracer()
+        _finished(tracer, "suggest", 0.004, fit=False, batch=1)
+        _finished(tracer, "queue-wait", 0.002)
+        _finished(tracer, "execute", 0.5, status="terminated")
+        _finished(tracer, "execute", 0.0, status="terminated", cache_hit=True)
+        _finished(tracer, "execute", 0.3, status="timeout")
+        _finished(tracer, "tell", 0.01)
+        _finished(tracer, "refit", 0.2, n_obs=4)
+        _finished(tracer, "cycle:deploy", 0.05)
+        _finished(tracer, "cycle:execute", 0.6)  # not a digest op
+        _finished(tracer, "cycle:reconfigure", 0.05)
+        with tracer.span("evalcache_lookup"):
+            pass
+        with tracer.span("des_run"):
+            pass
+        counts = {op: d.count for op, d in tracer.perf.ops().items()}
+        assert counts == {
+            "suggest": 1,
+            "queue_wait": 1,
+            "evaluate": 1,
+            "tell": 1,
+            "refit": 1,
+            "deploy": 1,
+            "reconfigure": 1,
+            "evalcache_lookup": 1,
+            "des_run": 1,
+        }
+        assert tracer.perf.digest("evaluate").sum == pytest.approx(0.5)
+        assert tracer.perf.digest("suggest").sum == pytest.approx(0.004)
+
+    def test_fit_bearing_ask_is_one_whole_sample(self):
+        """A batched ask that blocked on a fit: three per-candidate suggest
+        spans, one ``suggest_fit`` sample covering the whole ask."""
+        tracer = RecordingTracer()
+        for batch in (3, 0, 0):
+            _finished(tracer, "suggest", 0.1, fit=True, batch=batch)
+        ops = tracer.perf.ops()
+        assert "suggest" not in ops
+        assert ops["suggest_fit"].count == 1
+        assert ops["suggest_fit"].sum == pytest.approx(0.3)
+
+    def test_percentiles_from_spans(self):
+        tracer = RecordingTracer()
+        for i in range(100):
+            _finished(tracer, "tell", 0.001 * (i + 1))
+        stats = tracer.perf.digest("tell").percentiles()
+        assert stats["count"] == 100
+        assert stats["p50"] == pytest.approx(0.0505, rel=0.1)
+        assert stats["p90"] == pytest.approx(0.0905, rel=0.1)
+        assert stats["p99"] == pytest.approx(0.0995, rel=0.05)
+
+    def test_ingested_worker_spans_digest_once_in_parent_windows(self):
+        worker = RecordingTracer()
+        _finished(worker, "execute", 0.25, status="terminated")
+        parent = RecordingTracer()
+        # the worker's epoch is 100 s after the parent's: with 30 s windows
+        # the sample lands in the window of the span's rebased end (3).
+        merged, dropped = parent.ingest(
+            [span.to_dict() for span in worker.drain()],
+            epoch_unix=parent.started_at + 100.0,
+        )
+        assert (merged, dropped) == (1, 0)
+        assert parent.perf.digest("evaluate").count == 1
+        windows = parent.perf.to_dict()["windows"]
+        assert [w["index"] for w in windows] == [3]
+        assert windows[0]["ops"]["evaluate"]["count"] == 1
+
+    def test_window_series_follows_span_end(self):
+        tracer = RecordingTracer()
+        tracer.perf.window_s = 1.0
+        for end in (0.5, 0.7, 2.5):
+            span = tracer.start_span("tell", start=end - 0.1)
+            tracer.end_span(span, end=end)
+        windows = tracer.perf.to_dict()["windows"]
+        assert [(w["index"], w["ops"]["tell"]["count"]) for w in windows] == [(0, 2), (2, 1)]
+
 
 
 class TestAggregateCostsHardening:

@@ -13,7 +13,7 @@ import repro.observability as obs
 from repro.cli import main
 from repro.errors import ValidationError
 from repro.observability import load_run, render_report
-from repro.observability.digest import PERF_PROFILE_FILE, set_perf
+from repro.observability.digest import PERF_PROFILE_FILE
 from repro.observability.metrics import set_registry
 from repro.observability.trace import set_tracer
 
@@ -23,17 +23,17 @@ def _clean_globals():
     yield
     set_tracer(None)
     set_registry(None)
-    set_perf(None)
 
 
 def _minimal_run(tmp_path, *, spans=True, perf=True):
     """Export a tiny but real run directory, optionally dropping artifacts."""
     tracer, _ = obs.enable()
     with tracer.span("trial:t0", trial_id="t0"):
+        with tracer.span("suggest", trial_id="t0"):
+            pass
         with tracer.span("execute", trial_id="t0"):
             pass
-    obs.get_perf().record("suggest", 0.002)
-    obs.get_perf().record("evaluate", 0.1)
+    assert set(tracer.perf.ops()) == {"suggest", "evaluate"}
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     obs.export(run_dir)

@@ -1,9 +1,9 @@
 """Tests for the cross-process telemetry fabric.
 
-Workers in a process pool record spans/metrics/digests locally; the parent
-merges them back with ``runner_id``/``pid`` attribution. The end-to-end
-test runs a real process-executor campaign and asserts every trial's trace
-carries a worker-side ``evaluate`` span.
+Workers in a process pool record spans/metrics locally; the parent merges
+them back with ``runner_id``/``pid`` attribution and digests the merged
+spans once. The end-to-end test runs a real process-executor campaign and
+asserts every trial's trace carries a worker-side ``evaluate`` span.
 """
 
 import math
@@ -13,7 +13,6 @@ import pytest
 import repro.observability as obs
 from repro.bayesopt import Integer, Space
 from repro.observability import fabric
-from repro.observability.digest import PerfRecorder, get_perf, set_perf
 from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
 from repro.observability.trace import RecordingTracer, get_tracer, set_tracer
 from repro.search import RandomSearch, TrialStatus, run
@@ -24,7 +23,6 @@ def _clean_globals():
     yield
     set_tracer(None)
     set_registry(None)
-    set_perf(None)
 
 
 def _space():
@@ -39,12 +37,10 @@ def _worker_payload():
     """Build a fabric payload the way a worker would (fresh local state)."""
     tracer = RecordingTracer()
     registry = MetricsRegistry()
-    perf = PerfRecorder()
     with tracer.span("evaluate", trial_id="t0"):
         with tracer.span("des_run"):
             pass
     registry.counter("repro_evaluations_total", "evals").inc()
-    perf.record("evaluate", 0.25)
     return {
         "schema": fabric.FABRIC_SCHEMA,
         "pid": 4242,
@@ -52,7 +48,6 @@ def _worker_payload():
         "epoch_unix": tracer.started_at,
         "spans": [s.to_dict() for s in tracer.drain()],
         "metrics": registry.drain_state(),
-        "perf": perf.drain_state(),
     }
 
 
@@ -65,7 +60,6 @@ class TestSpanIngest:
                 payload,
                 tracer=parent_tracer,
                 registry=MetricsRegistry(),
-                perf=PerfRecorder(),
                 parent=trial_span,
                 attributes={"trial_id": "t0"},
             )
@@ -85,7 +79,6 @@ class TestSpanIngest:
             _worker_payload(),
             tracer=parent_tracer,
             registry=MetricsRegistry(),
-            perf=PerfRecorder(),
             attributes={"trial_id": "t0"},
         )
         for span in parent_tracer.finished():
@@ -95,13 +88,13 @@ class TestSpanIngest:
 
     def test_metrics_and_perf_merged(self):
         registry = MetricsRegistry()
-        perf = PerfRecorder()
-        fabric.merge_payload(
-            _worker_payload(), tracer=RecordingTracer(), registry=registry, perf=perf
-        )
+        tracer = RecordingTracer()
+        fabric.merge_payload(_worker_payload(), tracer=tracer, registry=registry)
         counter = registry.counter("repro_evaluations_total", "evals")
         assert sum(v for _, v in counter.series()) == 1
-        assert perf.digest("evaluate").count == 1
+        # no digest travels in the payload: the worker's des_run span is
+        # digested once, in the parent, as it is merged
+        assert {op: d.count for op, d in tracer.perf.ops().items()} == {"des_run": 1}
 
     def test_merged_spans_stream_to_subscribers(self):
         parent_tracer = RecordingTracer()
@@ -111,7 +104,6 @@ class TestSpanIngest:
             _worker_payload(),
             tracer=parent_tracer,
             registry=MetricsRegistry(),
-            perf=PerfRecorder(),
         )
         assert {s.name for s in seen} == {"evaluate", "des_run"}
 
@@ -121,7 +113,6 @@ class TestSpanIngest:
             {"schema": "wrong/1", "spans": [{"bad": True}]},
             tracer=RecordingTracer(),
             registry=registry,
-            perf=PerfRecorder(),
         )
         assert merged == 0
         dropped = registry.counter(
@@ -134,7 +125,7 @@ class TestSpanIngest:
         payload["spans"].append({"garbage": 1})
         tracer = RecordingTracer()
         merged = fabric.merge_payload(
-            payload, tracer=tracer, registry=MetricsRegistry(), perf=PerfRecorder()
+            payload, tracer=tracer, registry=MetricsRegistry()
         )
         assert merged == 2
 
@@ -144,7 +135,7 @@ class TestSpanIngest:
         # pretend the worker epoch was 100s after the parent epoch
         payload["epoch_unix"] = parent_tracer.started_at + 100.0
         fabric.merge_payload(
-            payload, tracer=parent_tracer, registry=MetricsRegistry(), perf=PerfRecorder()
+            payload, tracer=parent_tracer, registry=MetricsRegistry()
         )
         for span in parent_tracer.finished():
             assert span.start_s >= 100.0
@@ -169,6 +160,18 @@ class TestWorkerLifecycle:
     def test_drain_outside_worker_is_none(self):
         assert fabric.drain_worker() is None
         assert not fabric.worker_active()
+
+    def test_drained_payload_carries_spans_and_metrics_only(self):
+        saved_id = (fabric._runner_id, fabric._activated_pid)
+        try:
+            fabric.activate_worker("drain")
+            with get_tracer().span("evaluate", trial_id="t0"):
+                pass
+            payload = fabric.drain_worker()
+        finally:
+            fabric._runner_id, fabric._activated_pid = saved_id
+        assert set(payload) == {"schema", "pid", "runner_id", "epoch_unix", "spans", "metrics"}
+        assert [span["name"] for span in payload["spans"]] == ["evaluate"]
 
     def test_export_includes_tracer_self_metrics(self, tmp_path):
         tracer, registry = obs.enable()
@@ -215,8 +218,8 @@ class TestProcessExecutorEndToEnd:
             # worker-measured costs landed on the trials
             for trial in analysis.trials:
                 assert trial.cost["evaluate_s"] <= trial.runtime_s + 1e-9
-            # digests: parent-side suggest + worker-side evaluate/queue-wait
-            perf = get_perf()
+            # digests: one sample per trial and op, each from one span
+            perf = tracer.perf
             assert perf.digest("suggest").count == 4
             assert perf.digest("evaluate").count == 4
             assert perf.digest("queue_wait").count == 4
@@ -241,7 +244,7 @@ class TestProcessExecutorEndToEnd:
         assert all(t.status is TrialStatus.TERMINATED for t in analysis.trials)
         assert not get_tracer().enabled
         assert not get_registry().enabled
-        assert not get_perf().enabled
+        assert get_tracer().perf is None
 
     def test_perf_profile_has_hot_path_percentiles(self, tmp_path):
         """Acceptance: perf_profile.json reports p50/p90/p99 for the
