@@ -1,4 +1,4 @@
-"""Evaluation-path throughput benchmark: fast lane + warm reuse + cache.
+"""Evaluation-path throughput benchmark: raw-number delays, warm reuse, cache.
 
 Two measurements, both against a faithful emulation of the pre-optimization
 evaluation path:
@@ -12,12 +12,12 @@ evaluation path:
   same simulated clock — the lanes are byte-identical by construction.
 
 - **End-to-end campaign** — a duplicate-heavy trial sequence over the
-  Pl@ntNet scenario. The baseline arm disables the fast lane, warm
-  deployment reuse, and the evaluation cache (the pre-PR path: every
-  trial re-places the deployment and re-simulates). The fast arm enables
-  all three, so repeated configurations hit the
-  :class:`~repro.search.evalcache.EvalCache` and unique ones simulate on
-  the fast lane against a warm deployment. Trial results must match the
+  Pl@ntNet scenario. The baseline arm disables warm deployment reuse and
+  the evaluation cache (every trial re-places the deployment and
+  re-simulates). The fast arm enables both, so repeated configurations
+  hit the :class:`~repro.search.evalcache.EvalCache` and unique ones
+  simulate against a warm deployment. Both arms simulate on the engine's
+  one delay path, raw-number yields. Trial results must match the
   baseline arm exactly, trial by trial.
 
 Results land in ``benchmarks/results/BENCH_eval.json``. Scale: set
@@ -171,7 +171,6 @@ def _campaign_arm(*, fast: bool) -> tuple[dict[str, Any], list[dict[str, float]]
         base_seed=SEED,
         use_testbed=True,
         warm_reuse=fast,
-        fast_lane=fast,
     )
     cache = None
     if fast:
@@ -227,8 +226,8 @@ def test_eval_throughput():
     fast_arm, fast_results = _campaign_arm(fast=True)
     campaign_speedup = base_arm["wall_s"] / fast_arm["wall_s"]
 
-    # Byte-identity: same seeds → same objectives, trial by trial, with the
-    # fast lane, warm reuse, and the cache all enabled.
+    # Byte-identity: same seeds → same objectives, trial by trial, with
+    # warm reuse and the cache enabled.
     assert len(base_results) == len(fast_results) == len(_campaign_sequence())
     for i, (b, f) in enumerate(zip(base_results, fast_results)):
         assert b == f, f"trial {i} diverged: {b} != {f}"

@@ -28,7 +28,6 @@ from typing import Any, Generator, Optional
 
 from repro import simcore
 from repro.engine.config import EngineModelParams, ThreadPoolConfig, WorkloadSpec
-from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 from repro.engine.cpumodel import CpuContentionModel
 from repro.engine.gpu import GpuModel
@@ -68,19 +67,12 @@ class IdentificationEngine:
         seed: int = 0,
         client_path: Optional[NetworkPath] = None,
         trace: bool = False,
-        fast_lane: bool = True,
     ) -> None:
         self.config = config
         self.workload = workload or WorkloadSpec()
         self.params = params or EngineModelParams()
         self.seed = int(seed)
         self.client_path = client_path
-        #: when True, plain-delay waits yield raw numbers so the simcore
-        #: fast lane recycles the carrier event instead of allocating a
-        #: Timeout per simulated stage. Both lanes push one NORMAL heap
-        #: entry per wait, so the event ordering — and therefore every
-        #: simulated metric — is identical either way.
-        self._fast_lane = bool(fast_lane)
 
         self.env = simcore.Environment()
         self.cpu = CpuContentionModel(
@@ -141,12 +133,6 @@ class IdentificationEngine:
             buf.extend(block[::-1].tolist())  # reversed: pop() takes the next draw
         return buf.pop()
 
-    def _delay(self, duration: float) -> Any:
-        """A plain virtual delay: raw number on the fast lane, else a Timeout."""
-        if self._fast_lane:
-            return duration
-        return self.env.timeout(duration)
-
     # -- request lifecycle -------------------------------------------------------------
 
     def _lifecycle(self) -> Generator[simcore.Event, None, None]:
@@ -155,7 +141,10 @@ class IdentificationEngine:
         Every stage is inlined into this one generator, with hot attributes
         held in locals: a request costs one generator and no per-stage
         delegation. The clock only moves across a ``yield``, so ``now`` is
-        read once per resume.
+        read once per resume. Plain delays are yielded as raw numbers, which
+        simcore schedules through a recycled carrier event instead of a
+        fresh :class:`~repro.simcore.events.Timeout` (the same heap entry,
+        so the same event order).
 
         A CPU-bound stage that would draw ``weight`` cores uncontended is
         slowed by the current contention factor ``I``: it runs ``I`` times
@@ -178,8 +167,6 @@ class IdentificationEngine:
         acquire = cpu.acquire
         release = cpu.release
         noise = self._noise
-        fast = self._fast_lane
-        timeout = env.timeout
         tracing = metrics.trace_enabled
         stamps: dict[str, float] = {}
         submitted = env.now
@@ -195,7 +182,7 @@ class IdentificationEngine:
             acquire(draw, now)
             try:
                 duration = p.t_preprocess * slowdown * noise()
-                yield duration if fast else timeout(duration)
+                yield duration
             finally:
                 now = env.now
                 release(draw, now)
@@ -220,7 +207,7 @@ class IdentificationEngine:
                 try:
                     network = p.image_bytes / p.download_bandwidth
                     duration = (network + p.t_download_cpu * slowdown) * noise()
-                    yield duration if fast else timeout(duration)
+                    yield duration
                 finally:
                     now = env.now
                     release(draw, now)
@@ -247,7 +234,7 @@ class IdentificationEngine:
                 acquire(spin, now)
                 try:
                     duration = gpu.inference_time(concurrency) * noise()
-                    yield duration if fast else timeout(duration)
+                    yield duration
                 finally:
                     gpu.stream_finished()
                     now = env.now
@@ -257,7 +244,7 @@ class IdentificationEngine:
                 acquire(draw, now)
                 try:
                     duration = p.t_extract_cpu * slowdown * noise()
-                    yield duration if fast else timeout(duration)
+                    yield duration
                 finally:
                     now = env.now
                     release(draw, now)
@@ -274,7 +261,7 @@ class IdentificationEngine:
             acquire(draw, now)
             try:
                 duration = p.t_process * slowdown * noise()
-                yield duration if fast else timeout(duration)
+                yield duration
             finally:
                 now = env.now
                 release(draw, now)
@@ -298,7 +285,7 @@ class IdentificationEngine:
                 acquire(draw, now)
                 try:
                     duration = p.t_simsearch * slowdown * noise()
-                    yield duration if fast else timeout(duration)
+                    yield duration
                 finally:
                     now = env.now
                     release(draw, now)
@@ -315,7 +302,7 @@ class IdentificationEngine:
             acquire(draw, now)
             try:
                 duration = p.t_postprocess * slowdown * noise()
-                yield duration if fast else timeout(duration)
+                yield duration
             finally:
                 now = env.now
                 release(draw, now)
@@ -359,7 +346,7 @@ class IdentificationEngine:
         assert self.workload.population_schedule is not None
         for start, population in self.workload.population_schedule:
             if start > env.now:
-                yield self._delay(start - env.now)
+                yield start - env.now
             self._allowed_population = population
             for index in sorted(self._parked):
                 if index < population:
@@ -383,7 +370,7 @@ class IdentificationEngine:
         rng = spawn_rng(derive_seed(self.seed, "arrivals"))
         while env.now < duration:
             for gap in rng.exponential(scale, size=_ARRIVAL_BATCH).tolist():
-                yield self._delay(gap)
+                yield gap
                 env.process(self._lifecycle(), name="request")
                 if env.now >= duration:
                     return
@@ -399,7 +386,7 @@ class IdentificationEngine:
             if stamp >= duration:
                 return
             if stamp > env.now:
-                yield self._delay(stamp - env.now)
+                yield stamp - env.now
             env.process(self._lifecycle(), name="request")
 
     def _scheduled_source(self) -> Generator[simcore.Event, None, None]:
@@ -427,7 +414,7 @@ class IdentificationEngine:
                 # idle segment: no arrivals, the pending work is preserved
                 if end >= duration:
                     return
-                yield self._delay(end - env.now)
+                yield end - env.now
                 index += 1
                 continue
             if carry > 0.0:
@@ -435,10 +422,10 @@ class IdentificationEngine:
                 carry = 0.0
                 if env.now + gap >= end and end < duration:
                     carry = (env.now + gap - end) * rate
-                    yield self._delay(end - env.now)
+                    yield end - env.now
                     index += 1
                     continue
-                yield self._delay(gap)
+                yield gap
                 env.process(self._lifecycle(), name="request")
                 if env.now >= duration:
                     return
@@ -447,10 +434,10 @@ class IdentificationEngine:
             for gap in rng.exponential(scale, size=_ARRIVAL_BATCH).tolist():
                 if env.now + gap >= end and end < duration:
                     carry = (env.now + gap - end) * rate
-                    yield self._delay(end - env.now)
+                    yield end - env.now
                     index += 1
                     break
-                yield self._delay(gap)
+                yield gap
                 env.process(self._lifecycle(), name="request")
                 if env.now >= duration:
                     return
@@ -469,7 +456,7 @@ class IdentificationEngine:
         prev_busy = {name: self.pools[name].busy_integral() for name in POOL_NAMES}
 
         while env.now < wl.duration:
-            yield self._delay(interval)
+            yield interval
             now = env.now
             cpu_int = self.cpu.usage_integral(now)
             cpu_usage = (cpu_int - prev_cpu) / interval
@@ -513,29 +500,25 @@ class IdentificationEngine:
     def run(self) -> EngineRunResult:
         """Run the simulation for the workload's duration and aggregate.
 
-        When the process-global tracer/registry are enabled (they are no-ops
-        by default) the run additionally emits an ``engine.run`` span with
-        per-pool wait/service children, event-loop statistics, and uniform
-        engine metrics — at zero cost for untraced runs.
+        When the process-global tracer is recording (it is a no-op by
+        default) the run additionally emits an ``engine.run`` span with
+        per-pool wait/service children and event-loop statistics, from
+        which the tracer derives the engine metrics — at zero cost for
+        untraced runs.
         """
         env = self.env
         workload = self.workload
         tracer = get_tracer()
-        registry = get_registry()
-        observing = tracer.enabled or registry.enabled
+        observing = tracer.enabled
         if observing:
             env.enable_stats()
-        run_span = (
-            tracer.start_span(
+            run_span = tracer.start_span(
                 "engine.run",
                 sim_clock=lambda: env.now,
                 config=str(self.config),
                 requests=workload.simultaneous_requests,
                 seed=self.seed,
             )
-            if tracer.enabled
-            else None
-        )
         self._parked: dict[int, simcore.Event] = {}
         if workload.mode == "open":
             self._allowed_population = 0
@@ -555,66 +538,33 @@ class IdentificationEngine:
         env.process(self._monitor(), name="monitor")
         env.run(until=workload.duration)
         if observing:
-            self._publish_observability(tracer, registry, run_span)
+            self._publish_observability(tracer, run_span)
         return self._result()
 
-    def _publish_observability(self, tracer: Any, registry: Any, run_span: Any) -> None:
-        """Emit pool spans + uniform metrics after one engine run."""
+    def _publish_observability(self, tracer: Any, run_span: Any) -> None:
+        """Emit the pool spans and close ``run_span`` after one engine run."""
         env = self.env
-        loop = env.stats.snapshot(env.now) if env.stats is not None else {}
+        loop = env.stats.snapshot(env.now)
         for name, pool in self.pools.items():
             stats = pool.stats
-            waits = stats.wait_times.summary()
-            occupancy = pool.occupancy()
-            if run_span is not None:
-                span = tracer.start_span(
-                    f"pool:{name}",
-                    parent=run_span,
-                    start=run_span.start_s,
-                    capacity=pool.capacity,
-                    grants=stats.grants,
-                    wait_mean_s=waits.mean,
-                    service_mean_s=(
-                        stats.busy_integral / stats.releases if stats.releases else 0.0
-                    ),
-                    occupancy=occupancy,
-                    mean_queue_length=stats.mean_queue_length(env.now),
-                )
-                tracer.end_span(span)
-            if registry.enabled:
-                registry.gauge(
-                    "engine_pool_busy", "mean fraction of pool threads occupied", ("pool",)
-                ).set(occupancy, pool=name)
-                registry.gauge(
-                    "engine_pool_wait_mean_s", "mean wait for a pool thread", ("pool",)
-                ).set(waits.mean, pool=name)
-                registry.histogram(
-                    "engine_pool_wait_seconds",
-                    "distribution of waits for a pool thread",
-                    ("pool",),
-                ).observe(waits.mean, pool=name)
-                registry.counter(
-                    "engine_pool_grants_total", "pool thread grants", ("pool",)
-                ).inc(stats.grants, pool=name)
-        if registry.enabled:
-            registry.counter(
-                "engine_requests_completed_total", "requests served past warm-up"
-            ).inc(self.metrics.completed)
-            if loop:
-                registry.counter(
-                    "engine_loop_events_total", "DES events processed"
-                ).inc(loop["events_processed"])
-                registry.gauge(
-                    "engine_loop_sim_wall_ratio", "simulated-vs-wall speed of the last run"
-                ).set(loop["sim_wall_ratio"])
-                registry.gauge(
-                    "engine_loop_max_queue_depth", "peak event-heap depth of the last run"
-                ).set(loop["max_queue_depth"])
-        if run_span is not None:
-            for key, value in loop.items():
-                run_span.set(key, value)
-            run_span.set("completed_requests", self.metrics.completed)
-            tracer.end_span(run_span)
+            span = tracer.start_span(
+                f"pool:{name}",
+                parent=run_span,
+                start=run_span.start_s,
+                capacity=pool.capacity,
+                grants=stats.grants,
+                wait_mean_s=stats.wait_times.summary().mean,
+                service_mean_s=(
+                    stats.busy_integral / stats.releases if stats.releases else 0.0
+                ),
+                occupancy=pool.occupancy(),
+                mean_queue_length=stats.mean_queue_length(env.now),
+            )
+            tracer.end_span(span)
+        for key, value in loop.items():
+            run_span.set(key, value)
+        run_span.set("completed_requests", self.metrics.completed)
+        tracer.end_span(run_span)
 
     def _result(self) -> EngineRunResult:
         wl = self.workload
@@ -661,7 +611,6 @@ def simulate_engine(
     params: EngineModelParams | None = None,
     seed: int = 0,
     client_path: Optional[NetworkPath] = None,
-    fast_lane: bool = True,
 ) -> EngineRunResult:
     """Convenience one-call engine simulation (one repetition)."""
     workload = WorkloadSpec(
@@ -670,7 +619,5 @@ def simulate_engine(
         sample_interval=sample_interval,
         warmup=warmup,
     )
-    engine = IdentificationEngine(
-        config, workload, params, seed=seed, client_path=client_path, fast_lane=fast_lane
-    )
+    engine = IdentificationEngine(config, workload, params, seed=seed, client_path=client_path)
     return engine.run()

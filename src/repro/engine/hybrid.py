@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from repro import simcore
 from repro.engine.analytic import AnalyticEngineModel, OpenEpochResult, iter_epochs
 from repro.engine.config import EngineModelParams, ThreadPoolConfig, WorkloadSpec
 from repro.engine.engine import _ARRIVAL_BATCH, IdentificationEngine
@@ -46,7 +45,6 @@ from repro.engine.schedule import ArrivalSchedule
 from repro.engine.tasks import TaskType
 from repro.errors import ValidationError
 from repro.monitoring.hybrid import EpochSample, HybridAggregator
-from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 from repro.utils.seeding import derive_seed, spawn_rng
 from repro.utils.stats import RunningStats
@@ -204,7 +202,6 @@ class HybridEngine:
         *,
         knobs: HybridKnobs | None = None,
         seed: int = 0,
-        fast_lane: bool = True,
     ) -> None:
         if workload.mode != "open":
             raise ValidationError("HybridEngine needs an open-loop workload")
@@ -223,7 +220,6 @@ class HybridEngine:
         self.knobs = knobs or HybridKnobs()
         self.seed = int(seed)
         self.schedule = schedule
-        self._fast_lane = bool(fast_lane)
         self.analytic = AnalyticEngineModel(self.params)
         self._engine: Optional[IdentificationEngine] = None
         self._rebuilds = 0
@@ -247,7 +243,6 @@ class HybridEngine:
                 WorkloadSpec(duration=self.workload.duration, warmup=0.0),
                 self.params,
                 seed=derive_seed(self.seed, "hybrid-engine", self._rebuilds),
-                fast_lane=self._fast_lane,
             )
             self._engine = engine
         if engine.env.now < now:
@@ -272,7 +267,7 @@ class HybridEngine:
             for gap in rng.exponential(scale, size=_ARRIVAL_BATCH).tolist():
                 if env.now + gap >= until:
                     return
-                yield engine._delay(gap)
+                yield gap
                 env.process(engine._lifecycle(), name="request")
 
     def _prime(self, engine: IdentificationEngine, count: int) -> None:
@@ -317,7 +312,6 @@ class HybridEngine:
     def run(self) -> HybridRunResult:
         wall_start = time.perf_counter()
         tracer = get_tracer()
-        registry = get_registry()
         knobs = self.knobs
         duration = self.workload.duration
         agg = HybridAggregator()
@@ -407,32 +401,14 @@ class HybridEngine:
             prev_saturated = fluid.saturated
 
         result = self._result(agg, corrections, time.perf_counter() - wall_start)
-        if registry.enabled:
-            counts = agg.mode_counts()
-            epochs_total = registry.counter(
-                "hybrid_epochs_total", "hybrid epochs by execution mode", ("mode",)
-            )
-            epochs_total.inc(counts["fluid"], mode="fluid")
-            epochs_total.inc(counts["des"], mode="des")
-            registry.gauge(
-                "hybrid_des_time_fraction", "fraction of simulated time run as DES"
-            ).set(result.des_time_fraction)
-            registry.gauge(
-                "hybrid_window_error_max", "worst fluid-vs-DES relative error"
-            ).set(result.max_window_error)
-            registry.gauge(
-                "hybrid_error_bias", "run-level fluid-model bias", ("metric",)
-            ).set(result.error_throughput_bias, metric="throughput")
-            registry.gauge(
-                "hybrid_error_bias", "run-level fluid-model bias", ("metric",)
-            ).set(result.error_p95_bias, metric="p95")
-            registry.gauge(
-                "hybrid_error_bound", "configured relative error bound"
-            ).set(knobs.error_bound)
         if run_span is not None:
             run_span.set("fluid_epochs", result.fluid_epochs)
             run_span.set("des_epochs", result.des_epochs)
+            run_span.set("des_time_fraction", result.des_time_fraction)
             run_span.set("max_window_error", result.max_window_error)
+            run_span.set("error_throughput_bias", result.error_throughput_bias)
+            run_span.set("error_p95_bias", result.error_p95_bias)
+            run_span.set("error_bound", knobs.error_bound)
             run_span.set("within_bound", result.within_bound)
             tracer.end_span(run_span)
         return result
@@ -659,7 +635,6 @@ def simulate_hybrid(
     params: EngineModelParams | None = None,
     knobs: HybridKnobs | None = None,
     seed: int = 0,
-    fast_lane: bool = True,
 ) -> HybridRunResult:
     """Convenience one-call hybrid simulation of an arrival schedule."""
     workload = WorkloadSpec(
@@ -667,7 +642,4 @@ def simulate_hybrid(
         duration=duration,
         warmup=0.0,
     )
-    engine = HybridEngine(
-        config, workload, params, knobs=knobs, seed=seed, fast_lane=fast_lane
-    )
-    return engine.run()
+    return HybridEngine(config, workload, params, knobs=knobs, seed=seed).run()

@@ -136,16 +136,14 @@ class FaultInjector:
         return None
 
     def _record(self, kind: str) -> None:
+        """Tally one injected fault and mark it with a zero-length span."""
         self.injected[kind] += 1
-        from repro.observability.metrics import get_registry
+        from repro.observability.trace import get_tracer
 
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "repro_faults_injected_total",
-                "faults injected into trial evaluations",
-                labelnames=("kind",),
-            ).inc(kind=kind)
+        tracer = get_tracer()
+        if tracer.enabled:
+            span = tracer.start_span("fault", kind=kind)
+            tracer.end_span(span, end=span.start_s)
 
     # -- evaluator surface ----------------------------------------------------------
 

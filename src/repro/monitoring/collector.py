@@ -7,7 +7,8 @@ from typing import Callable, Generator, Optional
 
 from repro import simcore
 from repro.errors import ValidationError
-from repro.observability.metrics import MetricsRegistry, get_registry
+from repro.observability.metrics import Counter, Gauge, MetricsRegistry
+from repro.observability.trace import get_tracer
 from repro.utils.timeseries import TimeSeries
 
 __all__ = ["Probe", "MetricCollector"]
@@ -40,9 +41,9 @@ class MetricCollector:
     ``D / interval``. Off by default for backward compatibility.
 
     Samples are also published into a :class:`MetricsRegistry` (the
-    process-global one unless ``registry=`` is given) as the
-    ``monitor_probe_value{probe=...}`` gauge plus a sample counter — a no-op
-    while observability is disabled.
+    recording tracer's ``tracer.metrics`` unless ``registry=`` is given) as
+    the ``monitor_probe_value{probe=...}`` gauge plus a sample counter —
+    skipped while tracing is off and no registry is passed.
     """
 
     def __init__(
@@ -62,8 +63,8 @@ class MetricCollector:
         self.series: dict[str, TimeSeries] = {}
         self._process: simcore.Process | None = None
         self._registry = registry
-        self._gauge = None
-        self._sample_counter = None
+        self._gauge: Optional[Gauge] = None
+        self._sample_counter: Optional[Counter] = None
 
     def add_probe(self, name: str, read: Callable[[], float]) -> None:
         """Register a probe; must be called before :meth:`start`."""
@@ -78,13 +79,14 @@ class MetricCollector:
         """Start sampling; returns the collector process."""
         if self._process is not None:
             raise ValidationError("collector already started")
-        registry = self._registry if self._registry is not None else get_registry()
-        self._gauge = registry.gauge(
-            "monitor_probe_value", "last sampled value per probe", ("probe",)
-        )
-        self._sample_counter = registry.counter(
-            "monitor_samples_total", "probe samples taken"
-        )
+        registry = self._registry if self._registry is not None else get_tracer().metrics
+        if registry is not None:
+            self._gauge = registry.gauge(
+                "monitor_probe_value", "last sampled value per probe", ("probe",)
+            )
+            self._sample_counter = registry.counter(
+                "monitor_samples_total", "probe samples taken"
+            )
         self._process = self.env.process(self._run(), name="metric-collector")
         return self._process
 
@@ -93,8 +95,9 @@ class MetricCollector:
         for probe in self.probes:
             value = float(probe.read())
             self.series[probe.name].append(now, value)
-            self._gauge.set(value, probe=probe.name)
-            self._sample_counter.inc()
+            if self._gauge is not None:
+                self._gauge.set(value, probe=probe.name)
+                self._sample_counter.inc()
 
     def _run(self) -> Generator[simcore.Event, None, None]:
         try:

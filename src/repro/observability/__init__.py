@@ -1,14 +1,17 @@
 """End-to-end observability for the optimization cycle.
 
-Three pillars, all zero-cost when disabled (the defaults are a no-op tracer
-and a null metrics registry):
+Spans are the only telemetry record; everything else is derived from them.
+All of it is zero-cost when disabled (the default is a no-op tracer, which
+carries no registry and no digests):
 
 - :mod:`repro.observability.trace` — nested spans with wall *and* simulated
   clocks, covering every phase of the cycle (deploy → execute → optimize →
   reconfigure), every trial (suggest / execute / tell), the DES event loop
   and the engine's thread pools;
 - :mod:`repro.observability.metrics` — a counters/gauges/histograms registry
-  with JSON(L) and Prometheus-text exporters;
+  with JSON(L) and Prometheus-text exporters, derived from the spans: the
+  recording tracer feeds each finished span through one span → metric
+  table (``SPAN_METRICS``) into ``tracer.metrics``;
 - :mod:`repro.observability.profile` — per-trial cost attribution (surrogate
   fit vs. acquisition vs. evaluation) folded into the Phase III summary;
 - :mod:`repro.observability.analysis` — campaign analytics derived from the
@@ -25,9 +28,9 @@ and a null metrics registry):
   one span-name → op table into ``tracer.perf``, exported as
   ``perf_profile.json`` plus Prometheus summary series;
 - :mod:`repro.observability.fabric` — the cross-process telemetry fabric:
-  process-pool workers record spans/metrics locally and the parent merges
-  them back with ``runner_id``/``pid`` attribution (digesting the worker
-  spans there, once);
+  process-pool workers record spans locally and the parent merges them
+  back with ``runner_id``/``pid`` attribution (deriving digests and
+  metrics from the worker spans there, once); payloads carry spans only;
 - :mod:`repro.observability.perf` — perf baselines and the regression gate
   (``python -m repro perf record|diff``);
 - :mod:`repro.observability.live` — the live telemetry plane: an embedded
@@ -73,13 +76,11 @@ from repro.observability.fabric import (
     worker_active,
 )
 from repro.observability.metrics import (
+    SPAN_METRICS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    get_registry,
-    set_registry,
 )
 # after dashboard/watchdog/fabric: live builds on all three.
 from repro.observability.live import (
@@ -131,9 +132,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "get_registry",
-    "set_registry",
+    "SPAN_METRICS",
     "CostBreakdown",
     "aggregate_costs",
     "COST_COMPONENTS",
@@ -180,28 +179,27 @@ __all__ = [
 
 
 def enable() -> tuple[RecordingTracer, MetricsRegistry]:
-    """Install a recording tracer + live registry globally; returns both.
+    """Install a recording tracer globally; returns it and its registry.
 
-    The tracer's latency digests (``tracer.perf``) accumulate from its
-    spans, so every hot-path op is digested as it finishes.
+    The tracer's latency digests (``tracer.perf``) and metrics registry
+    (``tracer.metrics``, the second element) accumulate from its spans, so
+    every hot-path op is digested and metered as it finishes.
     """
     tracer = RecordingTracer()
-    registry = MetricsRegistry()
     set_tracer(tracer)
-    set_registry(registry)
-    return tracer, registry
+    return tracer, tracer.metrics
 
 
 def disable() -> None:
-    """Restore the inert defaults (no-op tracer, null registry)."""
+    """Restore the inert default (the no-op tracer)."""
     set_tracer(None)
-    set_registry(None)
 
 
 def export(run_dir: str | Path) -> list[Path]:
-    """Write the global tracer/registry artifacts into ``run_dir``.
+    """Write the global tracer's artifacts into ``run_dir``.
 
-    Only enabled components export; returns the paths written.
+    Only a recording tracer exports spans, metrics and digests; returns the
+    paths written.
     """
     run_dir = Path(run_dir)
     written: list[Path] = []
@@ -234,28 +232,22 @@ def export(run_dir: str | Path) -> list[Path]:
         from repro.observability.watchdog import ALERTS_FILE
 
         written.append(watchdog.export_jsonl(run_dir / ALERTS_FILE))
-    registry = get_registry()
-    perf = tracer.perf
-    if registry.enabled:
-        if isinstance(tracer, RecordingTracer):
-            # Self-metrics as gauges: export() may run more than once per
-            # campaign, and a gauge set is idempotent where a counter
-            # increment would double-count.
-            registry.gauge(
-                "repro_tracer_spans_recorded", "spans finished by the tracer"
-            ).set(tracer.spans_recorded)
-            registry.gauge(
-                "repro_tracer_subscriber_errors",
-                "span-subscriber callbacks that raised",
-            ).set(tracer.subscriber_errors)
+    if isinstance(tracer, RecordingTracer):
+        registry = tracer.metrics
+        # Self-metrics as gauges: export() may run more than once per
+        # campaign, and a gauge set is idempotent where a counter
+        # increment would double-count.
+        registry.gauge(
+            "repro_tracer_spans_recorded", "spans finished by the tracer"
+        ).set(tracer.spans_recorded)
+        registry.gauge(
+            "repro_tracer_subscriber_errors",
+            "span-subscriber callbacks that raised",
+        ).set(tracer.subscriber_errors)
         written.append(registry.export_json(run_dir / "metrics.json"))
-        prom_text = registry.render_prometheus()
-        if perf is not None:
-            prom_text = prom_text + perf.render_prometheus()
         prom_path = run_dir / "metrics.prom"
         prom_path.parent.mkdir(parents=True, exist_ok=True)
-        prom_path.write_text(prom_text)
+        prom_path.write_text(registry.render_prometheus() + tracer.perf.render_prometheus())
         written.append(prom_path)
-    if perf is not None:
-        written.append(perf.export_json(run_dir / PERF_PROFILE_FILE))
+        written.append(tracer.perf.export_json(run_dir / PERF_PROFILE_FILE))
     return written

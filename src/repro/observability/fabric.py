@@ -1,30 +1,30 @@
 """The cross-process telemetry fabric.
 
-Process-pool workers used to be observability black holes: spans and
-metrics recorded inside a worker died with the worker, so a
-process-executor campaign produced traces with empty evaluations. The
-fabric closes the loop in three moves:
+Process-pool workers used to be observability black holes: spans
+recorded inside a worker died with the worker, so a process-executor
+campaign produced traces with empty evaluations. The fabric closes the loop
+in three moves:
 
 1. **activate** — the pool initializer calls :func:`activate_worker`, which
-   installs a worker-local recording tracer and metrics registry (the same
-   process-global slots the instrumented code already publishes into — no
-   instrumentation site changes);
+   installs a worker-local recording tracer (the same process-global slot
+   the instrumented code already emits into — no instrumentation site
+   changes);
 2. **drain** — after each trial the worker calls :func:`drain_worker`,
-   serializing everything recorded since the previous drain into one
+   serializing the spans finished since the previous drain into one
    JSON-able payload shipped back alongside the trial result;
 3. **merge** — the parent calls :func:`merge_payload`, which remaps span
    ids, rebases the worker clock onto the parent tracer's timeline (via
-   each tracer's ``started_at`` wall timestamp), stamps ``runner_id`` /
-   ``pid`` attribution onto every span and accumulates counters/histograms
-   into the parent registry. Merged spans stream through the parent
-   tracer's latency digests and subscribers, so worker-side ops are
-   digested exactly once, in the parent, and the live watchdog sees them
-   too.
+   each tracer's ``started_at`` wall timestamp) and stamps ``runner_id`` /
+   ``pid`` attribution onto every span. Merged spans stream through the
+   parent tracer's latency digests, metrics registry and subscribers, so
+   worker-side ops are digested and metered exactly once, in the parent,
+   and the live watchdog sees them too.
 
-The payload is a plain dict of JSON types, so the same schema works over
-pickle (process pools) or the wire (``POST /telemetry`` pushes from store
-workers on other hosts). Merge accounting is self-observable:
-``repro_fabric_merged_spans_total`` / ``repro_fabric_merge_dropped_total``.
+The payload carries one record type, spans, as a plain dict of JSON types,
+so the same schema works over pickle (process pools) or the wire
+(``POST /telemetry`` pushes from store workers on other hosts). Merge
+accounting is self-observable: ``repro_fabric_merged_spans_total`` /
+``repro_fabric_merge_dropped_total``.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ from __future__ import annotations
 import os
 from typing import Any, Mapping, Optional
 
-from repro.observability.metrics import (
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
 from repro.observability.trace import (
     RecordingTracer,
     Span,
@@ -75,8 +70,8 @@ def activate_worker(runner_name: str = "experiment") -> str:
     that inherited an activated parent's globals across ``fork`` — would
     otherwise keep the first activation's ``runner_id`` and mis-attribute
     every span it ships. When the name or pid differs from the recorded
-    activation, fresh telemetry slots are installed (dropping anything the
-    previous identity had buffered) and the id is re-derived.
+    activation, a fresh tracer is installed (dropping anything the previous
+    identity had buffered) and the id is re-derived.
     """
     global _runner_id, _activated_pid
     pid = os.getpid()
@@ -86,7 +81,6 @@ def activate_worker(runner_name: str = "experiment") -> str:
     # First activation, a new identity, or a forked inheritance: telemetry
     # buffered under the old identity must not leak into the new one.
     set_tracer(RecordingTracer())
-    set_registry(MetricsRegistry())
     _runner_id = runner_id
     _activated_pid = pid
     return _runner_id
@@ -102,10 +96,10 @@ def worker_runner_id() -> Optional[str]:
 
 
 def drain_worker() -> Optional[dict[str, Any]]:
-    """Serialize-and-reset this worker's telemetry into one payload.
+    """Serialize-and-reset this worker's spans into one payload.
 
     Returns ``None`` outside an activated worker. Each drain carries only
-    what was recorded since the previous one, so per-trial payloads never
+    the spans finished since the previous one, so per-trial payloads never
     double count.
     """
     if _runner_id is None:
@@ -119,9 +113,6 @@ def drain_worker() -> Optional[dict[str, Any]]:
     if isinstance(tracer, RecordingTracer):
         payload["epoch_unix"] = tracer.started_at
         payload["spans"] = [span.to_dict() for span in tracer.drain()]
-    registry = get_registry()
-    if registry.enabled:
-        payload["metrics"] = registry.drain_state()
     return payload
 
 
@@ -129,7 +120,6 @@ def merge_payload(
     payload: Mapping[str, Any],
     *,
     tracer: Any = None,
-    registry: Any = None,
     parent: Optional[Span] = None,
     attributes: Optional[dict[str, Any]] = None,
 ) -> int:
@@ -143,7 +133,6 @@ def merge_payload(
     rather than raising — a telemetry bug must never fail a trial.
     """
     tracer = tracer if tracer is not None else get_tracer()
-    registry = registry if registry is not None else get_registry()
     merged = 0
     dropped = 0
     if not isinstance(payload, Mapping) or payload.get("schema") != FABRIC_SCHEMA:
@@ -161,10 +150,8 @@ def merge_payload(
             list(spans), parent=parent, epoch_unix=epoch, attributes=span_attrs
         )
         dropped += span_dropped
-    metrics_state = payload.get("metrics")
-    if metrics_state and getattr(registry, "enabled", False):
-        registry.merge_state(metrics_state)
-    if getattr(registry, "enabled", False):
+    registry = tracer.metrics
+    if registry is not None:
         registry.counter(
             "repro_fabric_merged_spans_total",
             "worker spans merged into the parent tracer",

@@ -6,8 +6,9 @@ run. The live plane attaches a stdlib :class:`ThreadingHTTPServer` to a
 *running* campaign (opt-in via ``optimize --serve [host:]port`` or
 ``OptimizerConf.serve``) and exposes:
 
-- ``GET /metrics`` — Prometheus text exposition from the live registry and
-  perf-digest summaries, plus ``repro_live_*`` self-metrics;
+- ``GET /metrics`` — Prometheus text exposition from the tracer's
+  span-derived registry and perf-digest summaries, plus ``repro_live_*``
+  self-metrics;
 - ``GET /status`` — campaign JSON: phase, trial counts, incumbent,
   objective-history tail, and worker liveness derived from the trial
   store's heartbeat ledger;
@@ -19,7 +20,7 @@ run. The live plane attaches a stdlib :class:`ThreadingHTTPServer` to a
   subscribes to ``/events``);
 - ``POST /telemetry`` — token-authenticated ingest of telemetry-fabric
   payloads, so ``python -m repro worker --push-telemetry URL`` on another
-  host streams spans/metrics back *mid-campaign* instead of only
+  host streams spans back *mid-campaign* instead of only
   embedding them in trial outcomes.
 
 The monitor writes a ``monitor.json`` discovery file into the run
@@ -44,11 +45,10 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import ValidationError
 from repro.observability import fabric
-from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 from repro.observability.watchdog import get_watchdog
 
@@ -431,9 +431,6 @@ class LiveMonitor:
         with self._clients_lock:
             if client in self._clients:
                 self._clients.remove(client)
-            if client.dropped:
-                with self._stats_lock:
-                    self._events_dropped += 0  # already counted at drop time
 
     def _broadcast(self, event: str, data: Mapping[str, Any]) -> None:
         """Fan one event out to every SSE client; never blocks the caller."""
@@ -531,14 +528,13 @@ class LiveMonitor:
     # -- endpoint payloads ----------------------------------------------------
 
     def render_metrics(self) -> str:
-        """Prometheus text: live registry + perf digests + self-metrics."""
+        """Prometheus text: tracer metrics + perf digests + self-metrics."""
         parts = []
-        registry = get_registry()
-        if getattr(registry, "enabled", False):
-            parts.append(registry.render_prometheus())
-        perf = get_tracer().perf
-        if perf is not None:
-            parts.append(perf.render_prometheus())
+        tracer = get_tracer()
+        if tracer.metrics is not None:
+            parts.append(tracer.metrics.render_prometheus())
+        if tracer.perf is not None:
+            parts.append(tracer.perf.render_prometheus())
         parts.append(self._render_self_metrics())
         return "\n".join(part.rstrip("\n") for part in parts if part) + "\n"
 

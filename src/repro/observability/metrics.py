@@ -1,17 +1,22 @@
-"""A metrics registry: counters, gauges and histograms with labels.
+"""A metrics registry: counters, gauges and histograms with labels, derived
+from the span stream.
 
-Replaces ad-hoc accounting with one uniform, thread-safe surface that every
-layer (trial runner, DES engine, monitoring probes) can publish into, and
-that exports to two formats:
+Spans are the only telemetry record hot paths emit. Every
+:class:`~repro.observability.trace.RecordingTracer` owns one
+:class:`MetricsRegistry` (``tracer.metrics``) and feeds it each finished
+span — its own and those ingested from worker processes — through one
+table, :data:`SPAN_METRICS`, beside the digest table
+:data:`repro.observability.digest.SPAN_OPS`. Worker spans are therefore
+turned into metrics exactly once, in the parent, and fabric payloads carry
+spans only. The registry exports to two formats:
 
 - **JSON** (:meth:`MetricsRegistry.to_dict` / :meth:`export_json`) — the
   replayable run artifact consumed by ``python -m repro report``;
 - **Prometheus text exposition** (:meth:`render_prometheus`) — so a run can
   be scraped or diffed with standard tooling.
 
-Like the tracer, the process-global default is inert: a
-:class:`NullRegistry` hands out shared no-op instruments, so instrumented
-code costs one dict lookup and no allocation when observability is off.
+With tracing off there is no registry at all (``NoopTracer.metrics`` is
+``None``), so instrumented code does no metrics work.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 import math
 import threading
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import ValidationError
 
@@ -29,9 +34,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "get_registry",
-    "set_registry",
+    "SPAN_METRICS",
 ]
 
 LabelValues = tuple[str, ...]
@@ -85,35 +88,6 @@ class _Instrument:
 
     def _value_repr(self, value: Any) -> Any:
         return value
-
-    def _state_value(self, value: Any) -> Any:
-        return value
-
-    def _state_extra(self) -> dict[str, Any]:
-        return {}
-
-    def state(self, *, drain: bool = False) -> dict[str, Any]:
-        """Raw mergeable snapshot (the cross-process fabric format).
-
-        Unlike :meth:`to_dict`, values are exact internal state (histogram
-        bucket counts, not cumulative snapshots) so a receiving registry can
-        merge without loss. ``drain=True`` also resets the series, which is
-        how workers avoid double counting across per-trial drains.
-        """
-        with self._lock:
-            data = [
-                [list(key), self._state_value(value)]
-                for key, value in sorted(self._data.items())
-            ]
-            if drain:
-                self._data.clear()
-        return {
-            "kind": self.kind,
-            "help": self.help,
-            "labelnames": list(self.labelnames),
-            "data": data,
-            **self._state_extra(),
-        }
 
 
 class Counter(_Instrument):
@@ -232,21 +206,9 @@ class Histogram(_Instrument):
     def _value_repr(self, value: _HistogramState) -> Any:
         return self._snapshot_locked(value)
 
-    def _state_value(self, value: _HistogramState) -> Any:
-        return {"counts": list(value.counts), "sum": value.sum, "count": value.count}
-
-    def _state_extra(self) -> dict[str, Any]:
-        # +Inf is not JSON-portable; ``None`` marks the overflow bucket.
-        return {
-            "buckets": [None if edge == float("inf") else edge for edge in self.buckets]
-        }
-
 
 class MetricsRegistry:
     """Named instruments, created once and shared by every publisher."""
-
-    #: instrumentation sites branch on this to skip publishing work.
-    enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -284,74 +246,19 @@ class MetricsRegistry:
         with self._lock:
             return [self._instruments[name] for name in sorted(self._instruments)]
 
-    # -- the cross-process telemetry fabric -------------------------------------
-
-    def drain_state(self) -> dict[str, Any]:
-        """Serialize-and-reset every instrument (the worker-side drain)."""
-        state: dict[str, Any] = {}
-        for inst in self.instruments():
-            snapshot = inst.state(drain=True)
-            if snapshot["data"]:
-                state[inst.name] = snapshot
-        return state
-
-    def merge_state(self, state: Mapping[str, Any]) -> int:
-        """Merge a drained payload (typically from a worker process).
-
-        Counters accumulate, gauges take the incoming value (last write
-        wins), histograms add bucket counts elementwise. Returns the number
-        of series merged; malformed or conflicting entries are skipped, not
-        fatal.
-        """
-        if not self.enabled:
-            return 0
-        merged = 0
-        for name, inst_state in dict(state).items():
-            try:
-                merged += self._merge_instrument(str(name), inst_state)
-            except (ValidationError, TypeError, ValueError, KeyError):
-                continue
-        return merged
-
-    def _merge_instrument(self, name: str, inst_state: Mapping[str, Any]) -> int:
-        kind = inst_state.get("kind")
-        help_text = str(inst_state.get("help", ""))
-        labelnames = [str(n) for n in inst_state.get("labelnames", ())]
-        data = inst_state.get("data", ())
-        merged = 0
-        if kind == "counter":
-            counter = self.counter(name, help_text, labelnames)
-            for key, value in data:
-                counter.inc(float(value), **dict(zip(labelnames, key)))
-                merged += 1
-        elif kind == "gauge":
-            gauge = self.gauge(name, help_text, labelnames)
-            for key, value in data:
-                gauge.set(float(value), **dict(zip(labelnames, key)))
-                merged += 1
-        elif kind == "histogram":
-            raw_buckets = inst_state.get("buckets") or None
-            buckets = (
-                [float("inf") if edge is None else float(edge) for edge in raw_buckets]
-                if raw_buckets
-                else None
-            )
-            hist = self.histogram(name, help_text, labelnames, buckets)
-            for key, value in data:
-                counts = [int(c) for c in value["counts"]]
-                if len(counts) != len(hist.buckets):
-                    continue  # incompatible bucket layout: refuse silently
-                label_key = tuple(str(part) for part in key)
-                with hist._lock:
-                    hstate = hist._data.get(label_key)
-                    if hstate is None:
-                        hstate = hist._data[label_key] = _HistogramState(len(hist.buckets))
-                    for i, c in enumerate(counts):
-                        hstate.counts[i] += c
-                    hstate.sum += float(value["sum"])
-                    hstate.count += int(value["count"])
-                merged += 1
-        return merged
+    def observe(self, span: Any) -> None:
+        """Derive metrics from one finished span through :data:`SPAN_METRICS`."""
+        name = span.name
+        rule = SPAN_METRICS.get(name)
+        if rule is None:
+            family, colon, _ = name.partition(":")
+            rule = SPAN_METRICS.get(family + colon) if colon else None
+            if rule is None:
+                return
+        try:
+            rule(span, self)
+        except (KeyError, TypeError, ValueError):
+            pass  # a span lacking what its rule reads derives nothing
 
     # -- export ----------------------------------------------------------------
 
@@ -408,76 +315,160 @@ def _fmt_labels(labels: dict[str, Any]) -> str:
     return "{" + inner + "}"
 
 
-class _NullInstrument:
-    """Accepts every instrument operation and keeps nothing."""
-
-    __slots__ = ()
-
-    name = "null"
-    kind = "null"
-    labelnames: tuple[str, ...] = ()
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
-    def set(self, value: float, **labels: Any) -> None:
-        pass
-
-    def observe(self, value: float, **labels: Any) -> None:
-        pass
-
-    def value(self, **labels: Any) -> float:
-        return math.nan
-
-    def snapshot(self, **labels: Any) -> dict[str, Any]:
-        return {"count": 0, "sum": 0.0, "mean": math.nan, "buckets": {}}
-
-    def series(self) -> list[tuple[dict[str, str], Any]]:
-        return []
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "kind": self.kind, "help": "", "labelnames": [], "series": []}
+def _pool_metrics(span: Any, registry: MetricsRegistry) -> None:
+    attributes = span.attributes
+    pool = span.name.split(":", 1)[1]
+    wait_mean_s = attributes["wait_mean_s"]
+    registry.gauge(
+        "engine_pool_busy", "mean fraction of pool threads occupied", ("pool",)
+    ).set(attributes["occupancy"], pool=pool)
+    registry.gauge(
+        "engine_pool_wait_mean_s", "mean wait for a pool thread", ("pool",)
+    ).set(wait_mean_s, pool=pool)
+    registry.histogram(
+        "engine_pool_wait_seconds", "distribution of waits for a pool thread", ("pool",)
+    ).observe(wait_mean_s, pool=pool)
+    registry.counter("engine_pool_grants_total", "pool thread grants", ("pool",)).inc(
+        attributes["grants"], pool=pool
+    )
 
 
-_NULL_INSTRUMENT = _NullInstrument()
+def _engine_run_metrics(span: Any, registry: MetricsRegistry) -> None:
+    attributes = span.attributes
+    registry.counter(
+        "engine_requests_completed_total", "requests served past warm-up"
+    ).inc(attributes["completed_requests"])
+    if "events_processed" not in attributes:
+        return
+    registry.counter("engine_loop_events_total", "DES events processed").inc(
+        attributes["events_processed"]
+    )
+    registry.gauge(
+        "engine_loop_sim_wall_ratio", "simulated-vs-wall speed of the last run"
+    ).set(attributes["sim_wall_ratio"])
+    registry.gauge(
+        "engine_loop_max_queue_depth", "peak event-heap depth of the last run"
+    ).set(attributes["max_queue_depth"])
 
 
-class NullRegistry(MetricsRegistry):
-    """The inert default: every instrument is the shared no-op."""
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Any:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Any:
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] | None = None,
-    ) -> Any:
-        return _NULL_INSTRUMENT
-
-
-_default_registry: MetricsRegistry = NullRegistry()
-_default_lock = threading.Lock()
+def _hybrid_run_metrics(span: Any, registry: MetricsRegistry) -> None:
+    attributes = span.attributes
+    epochs = registry.counter(
+        "hybrid_epochs_total", "hybrid epochs by execution mode", ("mode",)
+    )
+    epochs.inc(attributes["fluid_epochs"], mode="fluid")
+    epochs.inc(attributes["des_epochs"], mode="des")
+    registry.gauge(
+        "hybrid_des_time_fraction", "fraction of simulated time run as DES"
+    ).set(attributes["des_time_fraction"])
+    registry.gauge(
+        "hybrid_window_error_max", "worst fluid-vs-DES relative error"
+    ).set(attributes["max_window_error"])
+    bias = registry.gauge("hybrid_error_bias", "run-level fluid-model bias", ("metric",))
+    bias.set(attributes["error_throughput_bias"], metric="throughput")
+    bias.set(attributes["error_p95_bias"], metric="p95")
+    registry.gauge("hybrid_error_bound", "configured relative error bound").set(
+        attributes["error_bound"]
+    )
 
 
-def get_registry() -> MetricsRegistry:
-    """The process-global registry (inert unless explicitly enabled)."""
-    return _default_registry
+def _trial_metrics(span: Any, registry: MetricsRegistry) -> None:
+    attributes = span.attributes
+    if attributes.get("retries"):
+        registry.counter(
+            "repro_trial_retries_total", "trial attempts retried after failure or timeout"
+        ).inc(attributes["retries"])
+    if attributes.get("timeouts"):
+        registry.counter(
+            "repro_trial_timeouts_total", "trial attempts that hit the per-trial timeout"
+        ).inc(attributes["timeouts"])
 
 
-def set_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Install ``registry`` globally (``None`` restores the null); returns it."""
-    global _default_registry
-    with _default_lock:
-        _default_registry = registry if registry is not None else NullRegistry()
-        return _default_registry
+def _evalcache_metrics(span: Any, registry: MetricsRegistry) -> None:
+    registry.counter(
+        "repro_eval_cache_lookups_total",
+        "evaluation cache lookups by outcome",
+        labelnames=("outcome",),
+    ).inc(outcome=span.attributes["outcome"])
+
+
+def _evaluation_metrics(span: Any, registry: MetricsRegistry) -> None:
+    evaluation_s = span.attributes.get("evaluation_s")
+    if evaluation_s is None:
+        return  # the evaluation failed before it finished
+    registry.counter("repro_evaluations_total", "model evaluations run").inc()
+    registry.histogram(
+        "repro_evaluation_seconds", "wall seconds per model evaluation"
+    ).observe(evaluation_s)
+
+
+def _validation_metrics(span: Any, registry: MetricsRegistry) -> None:
+    if span.status == "ok":
+        registry.counter(
+            "repro_validation_runs_total", "repeat-validation runs of the best config"
+        ).inc()
+
+
+def faults_injected(registry: MetricsRegistry) -> Counter:
+    """The injected-fault counter (also read by the watchdog's storm rule)."""
+    return registry.counter(
+        "repro_faults_injected_total",
+        "faults injected into trial evaluations",
+        labelnames=("kind",),
+    )
+
+
+def _fault_metrics(span: Any, registry: MetricsRegistry) -> None:
+    faults_injected(registry).inc(kind=span.attributes["kind"])
+
+
+#: span name (or ``family:`` prefix, for ``pool:http``, ``trial:3``,
+#: ``validation:rep0``) -> the function deriving its metrics. The one place
+#: where spans become registry metrics:
+#:
+#: =====================  ==================================================
+#: span                   metrics
+#: =====================  ==================================================
+#: ``pool:<name>``        ``engine_pool_busy``, ``engine_pool_wait_mean_s``,
+#:                        ``engine_pool_wait_seconds``,
+#:                        ``engine_pool_grants_total`` (label ``pool``)
+#: ``engine.run``         ``engine_requests_completed_total``,
+#:                        ``engine_loop_events_total``,
+#:                        ``engine_loop_sim_wall_ratio``,
+#:                        ``engine_loop_max_queue_depth``
+#: ``hybrid.run``         ``hybrid_epochs_total{mode}``,
+#:                        ``hybrid_des_time_fraction``,
+#:                        ``hybrid_window_error_max``,
+#:                        ``hybrid_error_bias{metric}``, ``hybrid_error_bound``
+#: ``trial:<id>``         ``repro_trial_retries_total``,
+#:                        ``repro_trial_timeouts_total``
+#: ``evalcache_lookup``   ``repro_eval_cache_lookups_total{outcome}``
+#: ``cycle:reconfigure``  ``repro_evaluations_total``,
+#:                        ``repro_evaluation_seconds`` (its ``evaluation_s``)
+#: ``validation:rep<k>``  ``repro_validation_runs_total`` (ok spans only)
+#: ``fault``              ``repro_faults_injected_total{kind}``
+#: =====================  ==================================================
+#:
+#: Metrics that repeat no span are written to ``get_tracer().metrics``
+#: directly, when it is not ``None``:
+#:
+#: - ``testbed_nodes_reserved{cluster}`` — a level held while a reservation
+#:   is open (a process worker's level stays in the worker);
+#: - ``repro_best_value`` — the incumbent, replayed trials included;
+#: - ``repro_fabric_merged_spans_total`` / ``repro_fabric_merge_dropped_total``
+#:   — the fabric's merge accounting;
+#: - ``repro_tracer_spans_recorded`` / ``repro_tracer_subscriber_errors`` —
+#:   the tracer's self-metrics, written at export;
+#: - ``monitor_probe_value{probe}`` / ``monitor_samples_total`` — the
+#:   :class:`~repro.monitoring.collector.MetricCollector` probes, unless an
+#:   explicit ``registry=`` is passed.
+SPAN_METRICS: dict[str, Callable[[Any, MetricsRegistry], None]] = {
+    "pool:": _pool_metrics,
+    "engine.run": _engine_run_metrics,
+    "hybrid.run": _hybrid_run_metrics,
+    "trial:": _trial_metrics,
+    "evalcache_lookup": _evalcache_metrics,
+    "cycle:reconfigure": _evaluation_metrics,
+    "validation:": _validation_metrics,
+    "fault": _fault_metrics,
+}

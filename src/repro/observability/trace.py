@@ -27,9 +27,11 @@ Spans nest per-thread (a thread-local stack, not contextvars, so worker
 threads of a :class:`~concurrent.futures.ThreadPoolExecutor` start clean);
 cross-thread parentage is passed explicitly via ``parent=``.
 
-A recording tracer also derives the hot-path latency digests: every span
-it finishes or ingests passes once through
-:data:`repro.observability.digest.SPAN_OPS` into ``tracer.perf``.
+A recording tracer also derives the hot-path latency digests and the
+metrics registry: every span it finishes or ingests passes once through
+:data:`repro.observability.digest.SPAN_OPS` into ``tracer.perf`` and
+through :data:`repro.observability.metrics.SPAN_METRICS` into
+``tracer.metrics``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
 from repro.observability.digest import PerfRecorder
+from repro.observability.metrics import MetricsRegistry
 
 __all__ = [
     "Span",
@@ -157,6 +160,8 @@ class Tracer:
     enabled: bool = False
     #: latency digests derived from the finished spans (recording tracers).
     perf: Optional[PerfRecorder] = None
+    #: metrics derived from the finished spans (recording tracers).
+    metrics: Optional[MetricsRegistry] = None
 
     def span(
         self,
@@ -216,8 +221,10 @@ class RecordingTracer(Tracer):
         #: wall-clock timestamp of the epoch, for report headers and for
         #: rebasing spans merged from other processes (the telemetry fabric).
         self.started_at = time.time()
-        #: every finished span (own and ingested) is digested here, once.
+        #: every finished span (own and ingested) is digested here, once,
+        #: and turned into registry metrics, once.
         self.perf = PerfRecorder(started_at=self.started_at)
+        self.metrics = MetricsRegistry()
         self._next_id = 0
         self._finished: list[Span] = []
         self._stack = threading.local()
@@ -288,6 +295,7 @@ class RecordingTracer(Tracer):
             self.spans_recorded += 1
             subscribers = list(self._subscribers) if self._subscribers else None
         self.perf.observe(span)
+        self.metrics.observe(span)
         if subscribers is not None:
             self._notify(span, subscribers)
 
@@ -362,9 +370,9 @@ class RecordingTracer(Tracer):
         to ``parent`` (typically the trial span). ``epoch_unix`` — the
         foreign tracer's ``started_at`` — rebases the foreign clock onto
         this tracer's timeline. ``attributes`` (``runner_id``/``pid``/...)
-        are stamped onto every merged span. The latency digests and the
-        subscribers (the live watchdog) see each merged span exactly as if
-        it finished locally.
+        are stamped onto every merged span. The latency digests, the
+        metrics registry and the subscribers (the live watchdog) see each
+        merged span exactly as if it finished locally.
 
         Returns ``(merged, dropped)``; malformed entries are dropped, never
         fatal.
@@ -403,6 +411,7 @@ class RecordingTracer(Tracer):
             subscribers = list(self._subscribers) if self._subscribers else None
         for span in accepted:
             self.perf.observe(span)
+            self.metrics.observe(span)
         if subscribers is not None:
             for span in accepted:
                 self._notify(span, subscribers)

@@ -1,4 +1,4 @@
-"""A live anomaly watchdog over the span stream and metrics registry.
+"""A live anomaly watchdog over the span stream and its derived metrics.
 
 While a campaign runs, the :class:`CampaignWatchdog` subscribes to the
 recording tracer's finished-span stream (``RecordingTracer.subscribe``) and
@@ -13,7 +13,8 @@ raises structured, rate-limited :class:`Alert` records for:
 - **pool saturation** — an engine pool span reporting occupancy at or above
   the configured threshold;
 - **fault storms** — too many failed evaluations inside a sliding window
-  (fed both by error spans and the ``repro_faults_injected_total`` counter).
+  (fed both by error spans and the ``repro_faults_injected_total`` counter
+  the attached tracer derives from its ``fault`` spans).
 
 Alerts are deduplicated per subject and capped per kind, folded into the
 Phase III summary, exported as ``alerts.jsonl``, and persisted inside
@@ -34,7 +35,7 @@ from typing import Any, Iterable, Mapping, Optional
 
 from repro.errors import ValidationError
 from repro.observability.digest import LatencyDigest
-from repro.observability.metrics import get_registry
+from repro.observability.metrics import faults_injected
 
 __all__ = [
     "WatchdogConfig",
@@ -336,18 +337,18 @@ class CampaignWatchdog:
                 details={"count": count, "window_s": window},
             )
 
-    # -- the metrics registry ---------------------------------------------------------
+    # -- the attached tracer's metrics ------------------------------------------------
 
-    def poll(self, registry: Any = None, *, time_s: float = 0.0) -> None:
-        """Check registry-side signals (called live on every trial span)."""
-        registry = registry if registry is not None else get_registry()
-        if not getattr(registry, "enabled", False):
+    def poll(self, *, time_s: float = 0.0) -> None:
+        """Check metric-side signals (called live on every trial span).
+
+        Reads the metrics of the tracer this watchdog is attached to; a
+        detached watchdog has nothing to poll.
+        """
+        registry = getattr(self._tracer, "metrics", None)
+        if registry is None:
             return
-        counter = registry.counter(
-            "repro_faults_injected_total",
-            "faults injected into trial evaluations",
-            labelnames=("kind",),
-        )
+        counter = faults_injected(registry)
         per_kind = {labels.get("kind", "?"): value for labels, value in counter.series()}
         total = sum(per_kind.values())
         with self._lock:

@@ -21,7 +21,6 @@ from typing import Any, Callable, Mapping
 
 from repro import observability
 from repro.errors import OptimizationError
-from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 from repro.optimizer.config import OptimizerConf
 from repro.optimizer.optimization import Optimization
@@ -158,8 +157,9 @@ class OptimizationManager:
     def run(self) -> OptimizationOutcome:
         """Phase II + III, then the optional repeat-validation campaign.
 
-        With ``conf.observability`` set, a recording tracer and a live
-        metrics registry are installed for the duration of the run and the
+        With ``conf.observability`` set, a recording tracer (which derives
+        the metrics registry from its spans) is installed for the duration
+        of the run and the
         resulting artifacts (``spans.jsonl``, ``metrics.json``,
         ``metrics.prom``, ``trace_events.json``, ``timeline.html``) are
         exported into the experiment directory, ready for
@@ -259,17 +259,12 @@ class OptimizationManager:
         if self.conf.duration is not None:
             kwargs["duration"] = self.conf.duration
         tracer = get_tracer()
-        registry = get_registry()
         start = time.perf_counter()
         for repetition in range(self.conf.repeat + 1):
             with tracer.span(f"validation:rep{repetition}", seed=base_seed + 1000 + repetition):
                 metrics = self.optimization.launch(
                     dict(configuration), seed=base_seed + 1000 + repetition, **kwargs
                 )
-            if registry.enabled:
-                registry.counter(
-                    "repro_validation_runs_total", "repeat-validation runs of the best config"
-                ).inc()
             runs.append(dict(metrics))
         pooled = mean_std([run[metric] for run in runs])
         if outcome is None:

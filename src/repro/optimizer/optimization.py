@@ -25,7 +25,6 @@ from typing import Any, Mapping
 from repro.errors import OptimizationError
 from repro.experiments import EvaluationRecord, ExperimentArchive, ExperimentManifest
 from repro.observability import export as export_observability_artifacts
-from repro.observability.metrics import get_registry
 from repro.observability.trace import Tracer, get_tracer
 from repro.optimizer.problem import OptimizationProblem
 from repro.optimizer.summary import ReproducibilitySummary
@@ -125,7 +124,8 @@ class Optimization(abc.ABC):
 
         The three hooks map onto the optimization cycle's deploy, execute
         and reconfigure steps, each traced as its own span (the fourth step,
-        *optimize*, is the runner's suggest/tell pair).
+        *optimize*, is the runner's suggest/tell pair). The reconfigure span
+        carries the whole evaluation's wall time as ``evaluation_s``.
         """
         tracer = self.tracer
         start = time.perf_counter()
@@ -134,16 +134,9 @@ class Optimization(abc.ABC):
         with tracer.span("cycle:execute"):
             metrics = dict(self.launch(config))
         metrics[SCALAR_METRIC] = self.problem.scalarize(metrics)
-        with tracer.span("cycle:reconfigure"):
+        with tracer.span("cycle:reconfigure") as span:
             self.finalize(directory, config, metrics)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "repro_evaluations_total", "model evaluations run"
-            ).inc()
-            registry.histogram(
-                "repro_evaluation_seconds", "wall seconds per model evaluation"
-            ).observe(time.perf_counter() - start)
+            span.set("evaluation_s", time.perf_counter() - start)
         return metrics
 
     # -- the search (Listing 1 lines 5-26) ------------------------------------------------
@@ -269,9 +262,8 @@ class Optimization(abc.ABC):
             sampling_info=sampling_info or {},
             wall_clock_s=wall,
         )
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge("repro_best_value", "incumbent objective value").set(
+        if tracer.metrics is not None:
+            tracer.metrics.gauge("repro_best_value", "incumbent objective value").set(
                 summary.best_value
             )
         from repro.observability.watchdog import get_watchdog

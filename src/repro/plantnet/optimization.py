@@ -55,7 +55,6 @@ class PlantNetOptimization(Optimization):
         workdir: str | Path = ".repro-optimizations",
         seed: int = 0,
         warm_reuse: bool = True,
-        fast_lane: bool = True,
         eval_cache: bool = True,
     ) -> None:
         super().__init__(
@@ -81,7 +80,6 @@ class PlantNetOptimization(Optimization):
             base_seed=seed,
             use_testbed=True,
             warm_reuse=warm_reuse,
-            fast_lane=fast_lane,
         )
         self.use_eval_cache = bool(eval_cache)
 

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro.errors import ValidationError
-from repro.observability.metrics import get_registry
 from repro.utils.serialization import canonical_config, config_hash
 
 __all__ = ["EvalCache"]
@@ -87,16 +86,16 @@ class EvalCache:
         """
         from repro.observability.trace import get_tracer
 
-        with get_tracer().span("evalcache_lookup"):
+        with get_tracer().span("evalcache_lookup") as span:
             key = self.key(config)
             with self._lock:
                 replicates = self._entries.get(key)
                 if replicates is not None and len(replicates) >= self.min_replicates:
                     self.hits += 1
-                    self._count("hits")
+                    span.set("outcome", "hits")
                     return dict(replicates[0])
                 self.misses += 1
-                self._count("misses")
+                span.set("outcome", "misses")
                 return None
 
     def store(
@@ -175,15 +174,6 @@ class EvalCache:
             self._entries.setdefault(key, []).append(result)
 
     # -- reporting --------------------------------------------------------------------
-
-    def _count(self, outcome: str) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "repro_eval_cache_lookups_total",
-                "evaluation cache lookups by outcome",
-                labelnames=("outcome",),
-            ).inc(outcome=outcome)
 
     def stats(self) -> dict[str, int]:
         with self._lock:

@@ -122,8 +122,8 @@ def pool_init(
     """Process-pool initializer: register the trainable once per worker.
 
     With ``telemetry`` the worker also joins the cross-process fabric —
-    a worker-local tracer/registry captures everything the
-    trainable's instrumentation records, shipped back per trial.
+    a worker-local tracer captures every span the trainable's
+    instrumentation records, shipped back per trial.
     """
     global _WORKER_TRAINABLE
     _WORKER_TRAINABLE = trainable
@@ -191,7 +191,7 @@ def process_entry(
 
     In a fabric-activated worker the payload additionally carries
     worker-measured ``queue_wait_s``/``evaluate_s`` and a ``telemetry``
-    blob (spans and metrics) for the parent to merge.
+    blob (spans) for the parent to merge.
     """
     if trainable is None:
         trainable = _WORKER_TRAINABLE

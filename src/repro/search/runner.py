@@ -41,7 +41,6 @@ from repro.bayesopt.space import Space
 from repro.errors import TrialError, ValidationError
 from repro.faults.context import injection_occurred, reset_injection_flag, set_current_attempt
 from repro.observability import fabric
-from repro.observability.metrics import get_registry
 from repro.observability.profile import CostBreakdown, aggregate_costs
 from repro.observability.trace import Tracer, get_tracer
 from repro.search.algos import SearchAlgorithm, SurrogateSearch
@@ -240,7 +239,7 @@ class TrialRunner:
 
     def _observing(self) -> bool:
         """Whether any telemetry consumer is active (workers should join)."""
-        return bool(self._tracer.enabled or get_registry().enabled)
+        return self._tracer.enabled
 
     # -- observability hooks ---------------------------------------------------------
 
@@ -387,7 +386,7 @@ class TrialRunner:
         attempt index is published through :mod:`repro.faults.context` so
         stochastic components (fault injectors, seeded evaluators) draw a
         fresh stream per attempt. Retry/timeout counts are recorded on
-        ``trial.cost`` and exported through the metrics registry.
+        ``trial.cost``; the trial span carries them into the metrics.
         """
         if self.max_retries == 0 and self.trial_timeout_s is None:
             self._execute_inline(trial)
@@ -439,20 +438,6 @@ class TrialRunner:
             trial.cost["retries"] = float(retries)
         if timeouts:
             trial.cost["timeouts"] = float(timeouts)
-        self._count_fault_metrics(retries, timeouts)
-
-    def _count_fault_metrics(self, retries: int, timeouts: int) -> None:
-        registry = get_registry()
-        if not registry.enabled or not (retries or timeouts):
-            return
-        if retries:
-            registry.counter(
-                "repro_trial_retries_total", "trial attempts retried after failure or timeout"
-            ).inc(retries)
-        if timeouts:
-            registry.counter(
-                "repro_trial_timeouts_total", "trial attempts that hit the per-trial timeout"
-            ).inc(timeouts)
 
     # -- evaluation cache -------------------------------------------------------------
 
@@ -695,7 +680,6 @@ class TrialRunner:
                 # the count is provenance (and the taint marker above keeps
                 # the measurement out of the evaluation cache).
                 trial.cost["reclaimed"] = float(payload["reclaimed"])
-            self._count_fault_metrics(retries, timeouts)
             if payload.get("ok"):
                 try:
                     trial.result = _normalize_result(payload["raw"], self.metric)

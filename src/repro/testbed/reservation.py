@@ -72,10 +72,10 @@ class Reservation:
         if self._span is not None and self._tracer is not None:
             self._tracer.end_span(self._span)
             self._span = None
-        from repro.observability.metrics import get_registry
+        from repro.observability.trace import get_tracer
 
-        registry = get_registry()
-        if registry.enabled:
+        registry = get_tracer().metrics
+        if registry is not None:
             gauge = registry.gauge(
                 "testbed_nodes_reserved", "nodes currently held by reservations", ("cluster",)
             )

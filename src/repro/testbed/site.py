@@ -122,7 +122,6 @@ class Testbed:
                 node.reserve(job_id)
             reservation.nodes.setdefault(req.cluster, []).extend(nodes)
 
-        from repro.observability.metrics import get_registry
         from repro.observability.trace import get_tracer
 
         tracer = get_tracer()
@@ -135,9 +134,9 @@ class Testbed:
                 clusters=",".join(sorted(reservation.nodes)),
             )
             reservation._tracer = tracer
-        registry = get_registry()
-        if registry.enabled:
-            gauge = registry.gauge(
+        if tracer.metrics is not None:
+            # A level, not a span: it holds while the reservation is open.
+            gauge = tracer.metrics.gauge(
                 "testbed_nodes_reserved", "nodes currently held by reservations", ("cluster",)
             )
             for cluster_name, nodes in reservation.nodes.items():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.observability import set_registry, set_tracer
+from repro.observability import set_tracer
 from repro.observability.analysis import (
     SEGMENTS,
     TRACE_EVENTS_FILE,
@@ -26,7 +26,6 @@ from repro.optimizer import OptimizationManager, OptimizerConf
 def _clean_globals():
     yield
     set_tracer(None)
-    set_registry(None)
 
 
 def _trial_span(span_id, trial_id, start, end, children=(), objective=None):

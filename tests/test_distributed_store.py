@@ -499,16 +499,15 @@ class TestAtomicCheckpoints:
 
 class TestFabricReactivation:
     def test_reactivation_resets_stale_identity(self):
-        from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
         from repro.observability.trace import get_tracer, set_tracer
 
-        saved = (get_tracer(), get_registry())
+        saved = get_tracer()
         saved_id = (fabric._runner_id, fabric._activated_pid)
         try:
             first = fabric.activate_worker("alpha")
             assert first == f"alpha/w{os.getpid()}"
             tracer_a = get_tracer()
-            # Same identity: idempotent, telemetry slots untouched.
+            # Same identity: idempotent, the tracer (and its registry) untouched.
             assert fabric.activate_worker("alpha") == first
             assert get_tracer() is tracer_a
             # A reused worker process activated under a new runner name must
@@ -521,8 +520,8 @@ class TestFabricReactivation:
             fabric._activated_pid = os.getpid() + 1
             tracer_b = get_tracer()
             assert fabric.activate_worker("beta") == second
-            assert get_tracer() is not tracer_b  # fresh slots for the "child"
+            assert get_tracer() is not tracer_b  # a fresh tracer for the "child"
+            assert get_tracer().metrics is not tracer_b.metrics
         finally:
-            set_tracer(saved[0])
-            set_registry(MetricsRegistry() if saved[1] is None else saved[1])
+            set_tracer(saved)
             fabric._runner_id, fabric._activated_pid = saved_id

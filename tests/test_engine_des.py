@@ -137,47 +137,3 @@ class TestConfiguration:
         )
         delta = far.user_response_time.mean - near.user_response_time.mean
         assert delta == pytest.approx(0.5, abs=0.05)  # one RTT of 2×250 ms
-
-
-class TestFastLane:
-    """The raw-number delay fast lane must be byte-identical to events."""
-
-    def _pair(self, **workload_kwargs):
-        results = []
-        for fast_lane in (True, False):
-            engine = IdentificationEngine(
-                BASELINE_CONFIG,
-                WorkloadSpec(**workload_kwargs),
-                seed=7,
-                fast_lane=fast_lane,
-            )
-            results.append(engine.run())
-        return results
-
-    def test_closed_loop_byte_identical(self):
-        fast, slow = self._pair(
-            simultaneous_requests=20, duration=150.0, warmup=30.0
-        )
-        assert fast.user_response_time == slow.user_response_time
-        assert fast.throughput == slow.throughput
-        assert fast.completed_requests == slow.completed_requests
-        assert fast.task_times == slow.task_times
-        assert fast.response_percentiles == slow.response_percentiles
-
-    def test_open_loop_byte_identical(self):
-        fast, slow = self._pair(
-            simultaneous_requests=20,
-            arrival_rate=8.0,
-            duration=120.0,
-            warmup=20.0,
-        )
-        assert fast.user_response_time == slow.user_response_time
-        assert fast.completed_requests == slow.completed_requests
-        assert fast.task_times == slow.task_times
-
-    def test_simulate_engine_default_is_fast(self):
-        default = simulate_engine(BASELINE_CONFIG, 20, duration=120.0, warmup=20.0, seed=3)
-        slow = simulate_engine(
-            BASELINE_CONFIG, 20, duration=120.0, warmup=20.0, seed=3, fast_lane=False
-        )
-        assert default.user_response_time == slow.user_response_time

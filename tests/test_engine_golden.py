@@ -91,8 +91,30 @@ def fingerprint(result) -> dict:
     return out
 
 
-def run_engine(case: str, *, fast_lane: bool = True, stats: bool = False) -> dict:
-    """Fingerprint of one engine case; ``stats`` adds the simcore event count."""
+def _timeout_lane(env, generator):
+    """Drive ``generator``, turning each raw-number delay into ``env.timeout``."""
+    value = error = None
+    while True:
+        try:
+            target = generator.send(value) if error is None else generator.throw(error)
+        except StopIteration as stop:
+            return stop.value
+        if type(target) in (int, float):
+            target = env.timeout(target)
+        value = error = None
+        try:
+            value = yield target
+        except BaseException as exc:  # noqa: BLE001 - forwarded into the generator
+            error = exc
+
+
+def run_engine(case: str, *, timeouts: bool = False, stats: bool = False) -> dict:
+    """Fingerprint of one engine case; ``stats`` adds the simcore event count.
+
+    ``timeouts`` runs every engine process through :func:`_timeout_lane`,
+    so each plain delay allocates a :class:`~repro.simcore.events.Timeout`
+    instead of taking simcore's raw-number path.
+    """
     mode, _, config_name = case.partition(":")
     trace = mode == "traced"
     workload = WORKLOADS["closed" if trace else mode]
@@ -101,8 +123,11 @@ def run_engine(case: str, *, fast_lane: bool = True, stats: bool = False) -> dic
         WorkloadSpec(**workload),
         seed=SEED,
         trace=trace,
-        fast_lane=fast_lane,
     )
+    if timeouts:
+        env = engine.env
+        process = env.process
+        env.process = lambda gen, name=None: process(_timeout_lane(env, gen), name=name)
     if stats:
         engine.env.enable_stats()
     out = fingerprint(engine.run())
@@ -485,7 +510,8 @@ def test_uninstrumented_loop_matches_golden(case):
 
 @pytest.mark.parametrize("case", ["closed:baseline", "closed:preliminary", "closed:refined", "open"])
 def test_event_lane_matches_golden(case):
-    assert run_engine(case, fast_lane=False, stats=True) == GOLDEN[case]
+    """Timeout events and raw-number delays give the same run, event for event."""
+    assert run_engine(case, timeouts=True, stats=True) == GOLDEN[case]
 
 
 def test_hybrid_matches_golden():

@@ -14,16 +14,13 @@ from repro.observability import (
     CostBreakdown,
     MetricsRegistry,
     NoopTracer,
-    NullRegistry,
     RecordingTracer,
     Span,
     aggregate_costs,
-    get_registry,
     get_tracer,
     load_run,
     load_spans,
     render_report,
-    set_registry,
     set_tracer,
     tracing,
 )
@@ -32,10 +29,9 @@ from repro.search import RandomSearch, run
 
 @pytest.fixture(autouse=True)
 def _clean_globals():
-    """Never leak a tracer/registry into other tests."""
+    """Never leak a tracer (and its registry) into other tests."""
     yield
     set_tracer(None)
-    set_registry(None)
 
 
 def _space():
@@ -192,11 +188,13 @@ class TestMetricsRegistry:
         assert metric["series"][0]["value"] == 7.0
 
     def test_null_registry_is_inert(self):
-        reg = NullRegistry()
-        assert not reg.enabled
-        assert reg.counter("a") is reg.gauge("b") is reg.histogram("c")
-        reg.counter("a").inc()  # absorbed
-        assert reg.to_dict() == {"metrics": []}
+        """With tracing off there is no registry to publish into at all."""
+        from repro.engine import BASELINE_CONFIG, simulate_engine
+
+        assert NoopTracer().metrics is None
+        assert get_tracer().metrics is None
+        simulate_engine(BASELINE_CONFIG, 10, duration=30.0, warmup=5.0, seed=1)
+        assert get_tracer().metrics is None
 
 
 class TestCostBreakdown:
@@ -280,8 +278,14 @@ class TestCollectorBridge:
 
     def test_defaults_to_global_null_registry(self):
         env, collector = self._env_with_collector()
-        env.run(until=30.0)  # publishing into the NullRegistry is a no-op
+        env.run(until=30.0)  # tracing off: nothing to publish into
         assert len(collector.series["v"]) == 2  # t=10, t=20; no t=0 sample
+
+    def test_defaults_to_tracer_registry(self):
+        with tracing() as tracer:
+            env, collector = self._env_with_collector()
+            env.run(until=30.0)
+        assert tracer.metrics.counter("monitor_samples_total").value() == 2
 
 
 class TestRunnerTracing:
@@ -370,10 +374,9 @@ class TestEnginePublishing:
     def test_engine_run_exports_spans_and_metrics(self):
         from repro.engine import BASELINE_CONFIG, simulate_engine
 
-        reg = MetricsRegistry()
-        set_registry(reg)
         with tracing() as tracer:
             simulate_engine(BASELINE_CONFIG, 20, duration=60.0, warmup=10.0, seed=3)
+        reg = tracer.metrics
         spans = {s.name: s for s in tracer.finished()}
         assert "engine.run" in spans
         run_span = spans["engine.run"]
@@ -387,9 +390,20 @@ class TestEnginePublishing:
             "pool:simsearch",
         }
         assert all(s.parent_id == run_span.span_id for s in pool_spans)
-        assert reg.counter("engine_requests_completed_total").value() > 0
-        assert reg.gauge("engine_pool_busy", labelnames=("pool",)).value(pool="http") >= 0.0
-        assert reg.counter("engine_loop_events_total").value() > 0
+        # the metrics are derived from exactly these spans
+        completed = reg.counter("engine_requests_completed_total").value()
+        assert completed == run_span.attributes["completed_requests"] > 0
+        assert reg.counter("engine_loop_events_total").value() == (
+            run_span.attributes["events_processed"]
+        )
+        for span in pool_spans:
+            pool = span.name.split(":", 1)[1]
+            assert reg.gauge("engine_pool_busy", labelnames=("pool",)).value(pool=pool) == (
+                span.attributes["occupancy"]
+            )
+            assert reg.counter("engine_pool_grants_total", labelnames=("pool",)).value(
+                pool=pool
+            ) == span.attributes["grants"]
 
     def test_engine_untraced_no_stats_overhead(self):
         from repro.engine import BASELINE_CONFIG, simulate_engine
@@ -433,7 +447,7 @@ class TestManagerEndToEnd:
 
         # observability disabled again after the run
         assert isinstance(get_tracer(), NoopTracer)
-        assert not get_registry().enabled
+        assert get_tracer().metrics is None
 
         spans = load_spans(run_dir / "spans.jsonl")
         names = {s.name for s in spans}
@@ -494,22 +508,27 @@ class TestManagerEndToEnd:
 
 
 class TestNullInstrumentParity:
-    """Every read-side method a real instrument has must exist on the null one."""
+    """An instrument nothing was observed into answers every read-side call.
+
+    Families can exist with no series (the watchdog reads the injected-fault
+    counter before any fault span arrives), and reports read them back.
+    """
 
     def test_null_histogram_snapshot(self):
-        reg = NullRegistry()
+        reg = MetricsRegistry()
         snap = reg.histogram("h").snapshot()
         assert snap["count"] == 0
         assert snap["sum"] == 0.0
         assert math.isnan(snap["mean"])
         assert snap["buckets"] == {}
-        # labeled access works too (gauges/counters share the instrument).
-        assert reg.gauge("g").snapshot(pool="http")["count"] == 0
+        snap = reg.histogram("lh", labelnames=("pool",)).snapshot(pool="http")
+        assert snap["count"] == 0
 
     def test_null_series_and_to_dict(self):
-        reg = NullRegistry()
+        reg = MetricsRegistry()
         assert reg.counter("c").series() == []
         assert reg.counter("c").to_dict()["series"] == []
+        assert math.isnan(reg.gauge("g").value())
 
 
 class TestPrometheusHistogramBuckets:

@@ -14,7 +14,6 @@ from repro.cli import main
 from repro.errors import ValidationError
 from repro.observability import load_run, render_report
 from repro.observability.digest import PERF_PROFILE_FILE
-from repro.observability.metrics import set_registry
 from repro.observability.trace import set_tracer
 
 
@@ -22,7 +21,6 @@ from repro.observability.trace import set_tracer
 def _clean_globals():
     yield
     set_tracer(None)
-    set_registry(None)
 
 
 def _minimal_run(tmp_path, *, spans=True, perf=True):

@@ -1,5 +1,7 @@
 """Tests for the DES kernel: events, processes, composition."""
 
+import random
+
 import pytest
 
 from repro import simcore
@@ -179,6 +181,64 @@ class TestProcesses:
         env = simcore.Environment()
         with pytest.raises(TypeError):
             env.process(lambda: None)  # type: ignore[arg-type]
+
+
+class TestRawDelayLane:
+    """Yielding a raw number ``d`` is the same wait as yielding ``env.timeout(d)``.
+
+    Both push one NORMAL-priority heap entry at ``now + d``, so a model may
+    use either: event times, the order of same-instant resumes and the event
+    count all match. Delays come from a coarse grid so many resumes tie.
+    """
+
+    @staticmethod
+    def _run(raw, seed):
+        env = simcore.Environment()
+        stats = env.enable_stats()
+        rng = random.Random(seed)
+        pool = simcore.Resource(env, 2, name="pool")
+        log = []
+
+        def wait(delay):
+            return delay if raw else env.timeout(delay)
+
+        def worker(name, delays):
+            for step, delay in enumerate(delays):
+                with pool.request() as claim:
+                    yield claim
+                    log.append((env.now, name, step, "granted"))
+                    yield wait(delay)
+                log.append((env.now, name, step, "released"))
+
+        def sleeper():
+            try:
+                yield wait(100.0)
+                log.append((env.now, "sleeper", "woke"))
+            except simcore.Interrupt as interrupt:
+                log.append((env.now, "sleeper", interrupt.cause))
+                yield wait(0.5)
+                log.append((env.now, "sleeper", "resumed"))
+
+        def alarm(target, at):
+            yield wait(at)
+            target.interrupt("alarm")
+
+        for index in range(6):
+            delays = [rng.choice((0, 0.5, 1, 1.5, 2.0)) for _ in range(8)]
+            env.process(worker(f"w{index}", delays), name=f"w{index}")
+        target = env.process(sleeper(), name="sleeper")
+        env.process(alarm(target, 3.0), name="alarm")
+        env.run()
+        return log, env.now, stats.events_processed
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_times_order_and_event_count(self, seed):
+        raw_log, raw_end, raw_events = self._run(True, seed)
+        event_log, event_end, event_events = self._run(False, seed)
+        assert raw_log == event_log
+        assert raw_end == event_end
+        assert raw_events == event_events
+        assert (3.0, "sleeper", "alarm") in raw_log
 
 
 class TestInterrupts:

@@ -1,9 +1,10 @@
 """Tests for the cross-process telemetry fabric.
 
-Workers in a process pool record spans/metrics locally; the parent merges
-them back with ``runner_id``/``pid`` attribution and digests the merged
-spans once. The end-to-end test runs a real process-executor campaign and
-asserts every trial's trace carries a worker-side ``evaluate`` span.
+Workers in a process pool record spans locally; the parent merges them
+back with ``runner_id``/``pid`` attribution and derives digests and metrics
+from the merged spans once. The end-to-end tests run real process-executor
+campaigns and assert every trial's trace carries a worker-side
+``evaluate`` span and that worker-side engine metrics reach the parent.
 """
 
 import math
@@ -13,7 +14,6 @@ import pytest
 import repro.observability as obs
 from repro.bayesopt import Integer, Space
 from repro.observability import fabric
-from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
 from repro.observability.trace import RecordingTracer, get_tracer, set_tracer
 from repro.search import RandomSearch, TrialStatus, run
 
@@ -22,7 +22,6 @@ from repro.search import RandomSearch, TrialStatus, run
 def _clean_globals():
     yield
     set_tracer(None)
-    set_registry(None)
 
 
 def _space():
@@ -36,18 +35,17 @@ def _objective(config):
 def _worker_payload():
     """Build a fabric payload the way a worker would (fresh local state)."""
     tracer = RecordingTracer()
-    registry = MetricsRegistry()
     with tracer.span("evaluate", trial_id="t0"):
         with tracer.span("des_run"):
             pass
-    registry.counter("repro_evaluations_total", "evals").inc()
+        with tracer.span("cycle:reconfigure") as span:
+            span.set("evaluation_s", 0.25)
     return {
         "schema": fabric.FABRIC_SCHEMA,
         "pid": 4242,
         "runner_id": "exp/w4242",
         "epoch_unix": tracer.started_at,
         "spans": [s.to_dict() for s in tracer.drain()],
-        "metrics": registry.drain_state(),
     }
 
 
@@ -59,11 +57,10 @@ class TestSpanIngest:
             merged = fabric.merge_payload(
                 payload,
                 tracer=parent_tracer,
-                registry=MetricsRegistry(),
                 parent=trial_span,
                 attributes={"trial_id": "t0"},
             )
-        assert merged == 2
+        assert merged == 3
         spans = {s.name: s for s in parent_tracer.finished()}
         evaluate = spans["evaluate"]
         des = spans["des_run"]
@@ -78,7 +75,6 @@ class TestSpanIngest:
         fabric.merge_payload(
             _worker_payload(),
             tracer=parent_tracer,
-            registry=MetricsRegistry(),
             attributes={"trial_id": "t0"},
         )
         for span in parent_tracer.finished():
@@ -87,35 +83,32 @@ class TestSpanIngest:
             assert span.attributes["trial_id"] == "t0"
 
     def test_metrics_and_perf_merged(self):
-        registry = MetricsRegistry()
         tracer = RecordingTracer()
-        fabric.merge_payload(_worker_payload(), tracer=tracer, registry=registry)
-        counter = registry.counter("repro_evaluations_total", "evals")
-        assert sum(v for _, v in counter.series()) == 1
-        # no digest travels in the payload: the worker's des_run span is
-        # digested once, in the parent, as it is merged
-        assert {op: d.count for op, d in tracer.perf.ops().items()} == {"des_run": 1}
+        fabric.merge_payload(_worker_payload(), tracer=tracer)
+        # neither metrics nor digests travel in the payload: the worker's
+        # spans are metered and digested once, in the parent, as they merge
+        assert tracer.metrics.counter("repro_evaluations_total").value() == 1
+        evaluation = tracer.metrics.histogram("repro_evaluation_seconds").snapshot()
+        assert (evaluation["count"], evaluation["sum"]) == (1, 0.25)
+        assert {op: d.count for op, d in tracer.perf.ops().items()} == {
+            "des_run": 1,
+            "reconfigure": 1,
+        }
 
     def test_merged_spans_stream_to_subscribers(self):
         parent_tracer = RecordingTracer()
         seen = []
         parent_tracer.subscribe(seen.append)
-        fabric.merge_payload(
-            _worker_payload(),
-            tracer=parent_tracer,
-            registry=MetricsRegistry(),
-        )
-        assert {s.name for s in seen} == {"evaluate", "des_run"}
+        fabric.merge_payload(_worker_payload(), tracer=parent_tracer)
+        assert {s.name for s in seen} == {"evaluate", "des_run", "cycle:reconfigure"}
 
     def test_malformed_payload_dropped_not_fatal(self):
-        registry = MetricsRegistry()
+        tracer = RecordingTracer()
         merged = fabric.merge_payload(
-            {"schema": "wrong/1", "spans": [{"bad": True}]},
-            tracer=RecordingTracer(),
-            registry=registry,
+            {"schema": "wrong/1", "spans": [{"bad": True}]}, tracer=tracer
         )
         assert merged == 0
-        dropped = registry.counter(
+        dropped = tracer.metrics.counter(
             "repro_fabric_merge_dropped_total", "malformed fabric entries dropped during merge"
         )
         assert sum(v for _, v in dropped.series()) == 1
@@ -124,19 +117,15 @@ class TestSpanIngest:
         payload = _worker_payload()
         payload["spans"].append({"garbage": 1})
         tracer = RecordingTracer()
-        merged = fabric.merge_payload(
-            payload, tracer=tracer, registry=MetricsRegistry()
-        )
-        assert merged == 2
+        merged = fabric.merge_payload(payload, tracer=tracer)
+        assert merged == 3
 
     def test_clock_rebased_into_parent_timeline(self):
         parent_tracer = RecordingTracer()
         payload = _worker_payload()
         # pretend the worker epoch was 100s after the parent epoch
         payload["epoch_unix"] = parent_tracer.started_at + 100.0
-        fabric.merge_payload(
-            payload, tracer=parent_tracer, registry=MetricsRegistry()
-        )
+        fabric.merge_payload(payload, tracer=parent_tracer)
         for span in parent_tracer.finished():
             assert span.start_s >= 100.0
 
@@ -161,7 +150,7 @@ class TestWorkerLifecycle:
         assert fabric.drain_worker() is None
         assert not fabric.worker_active()
 
-    def test_drained_payload_carries_spans_and_metrics_only(self):
+    def test_drained_payload_carries_spans_only(self):
         saved_id = (fabric._runner_id, fabric._activated_pid)
         try:
             fabric.activate_worker("drain")
@@ -170,11 +159,12 @@ class TestWorkerLifecycle:
             payload = fabric.drain_worker()
         finally:
             fabric._runner_id, fabric._activated_pid = saved_id
-        assert set(payload) == {"schema", "pid", "runner_id", "epoch_unix", "spans", "metrics"}
+        assert set(payload) == {"schema", "pid", "runner_id", "epoch_unix", "spans"}
         assert [span["name"] for span in payload["spans"]] == ["evaluate"]
 
     def test_export_includes_tracer_self_metrics(self, tmp_path):
         tracer, registry = obs.enable()
+        assert registry is tracer.metrics
         with tracer.span("x"):
             pass
         obs.export(tmp_path)
@@ -243,7 +233,7 @@ class TestProcessExecutorEndToEnd:
         )
         assert all(t.status is TrialStatus.TERMINATED for t in analysis.trials)
         assert not get_tracer().enabled
-        assert not get_registry().enabled
+        assert get_tracer().metrics is None
         assert get_tracer().perf is None
 
     def test_perf_profile_has_hot_path_percentiles(self, tmp_path):

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import ValidationError
-from repro.observability import set_registry, set_tracer
-from repro.observability.metrics import MetricsRegistry
+from repro.faults import FaultInjector, FaultSpec, TransientFault
+from repro.observability import set_tracer
 from repro.observability.trace import RecordingTracer, Span
 from repro.observability.watchdog import (
     ALERTS_FILE,
@@ -24,7 +24,6 @@ from repro.optimizer import OptimizationManager, OptimizerConf
 def _clean_globals():
     yield
     set_tracer(None)
-    set_registry(None)
     set_watchdog(None)
 
 
@@ -202,20 +201,42 @@ class TestPoolAndFaultRules:
         assert [a for a in watchdog.alerts() if a.kind == "fault_storm"] == []
 
     def test_poll_reads_injected_fault_counter(self):
-        registry = MetricsRegistry()
-        counter = registry.counter(
-            "repro_faults_injected_total",
-            "faults injected into trial evaluations",
-            labelnames=("kind",),
-        )
+        """Injected faults finish ``fault`` spans; the storm rule reads the
+        counter derived from them on the tracer the watchdog is attached to."""
+        tracer = set_tracer(RecordingTracer())
         watchdog = CampaignWatchdog(WatchdogConfig(fault_storm_count=2))
-        counter.inc(3, kind="transient")
-        watchdog.poll(registry, time_s=5.0)
+        watchdog.attach(tracer)
+        evaluate = FaultInjector(FaultSpec(transient=1.0)).wrap(lambda config: {"loss": 1.0})
+        for a in range(3):
+            with pytest.raises(TransientFault):
+                evaluate({"a": a})
+        faults = [s for s in tracer.finished() if s.name == "fault"]
+        assert [(s.attributes["kind"], s.duration_s) for s in faults] == [("transient", 0.0)] * 3
+        watchdog.poll(time_s=5.0)
         storms = [a for a in watchdog.alerts() if a.kind == "fault_storm"]
         assert len(storms) == 1
         assert storms[0].details["injected"] == {"transient": 3.0}
         # no fresh faults since: polling again stays quiet.
-        watchdog.poll(registry, time_s=6.0)
+        watchdog.poll(time_s=6.0)
+        assert len(watchdog.alerts()) == 1
+
+    def test_trial_span_polls_the_attached_tracer(self):
+        tracer = set_tracer(RecordingTracer())
+        watchdog = CampaignWatchdog(WatchdogConfig(fault_storm_count=2))
+        watchdog.attach(tracer)
+        evaluate = FaultInjector(FaultSpec(transient=1.0)).wrap(lambda config: {"loss": 1.0})
+        for a in range(2):
+            with pytest.raises(TransientFault):
+                evaluate({"a": a})
+        with tracer.span("trial:t0", trial_id="t0"):
+            pass
+        assert [a.kind for a in watchdog.alerts()] == ["fault_storm"]
+        # a detached watchdog has no tracer to poll
+        watchdog.detach()
+        for a in range(10, 13):
+            with pytest.raises(TransientFault):
+                evaluate({"a": a})
+        watchdog.poll(time_s=9.0)
         assert len(watchdog.alerts()) == 1
 
 
