@@ -15,7 +15,6 @@ __all__ = ["environment_info", "ExperimentManifest"]
 
 def environment_info() -> dict[str, str]:
     """Software environment snapshot (Phase III provenance)."""
-    import networkx
     import numpy
     import scipy
 
@@ -25,7 +24,6 @@ def environment_info() -> dict[str, str]:
         "platform": platform.platform(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "networkx": networkx.__version__,
     }
 
 

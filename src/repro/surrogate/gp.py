@@ -5,6 +5,10 @@ anisotropic length-scales, white-noise term, log-marginal-likelihood
 hyperparameter optimization with multi-restart L-BFGS-B, and exact posterior
 mean/std via Cholesky factorization. Inputs and targets are standardized
 internally so length-scale priors behave across problem scales.
+
+``scipy.linalg``/``scipy.optimize`` are imported inside the methods that use
+them, so importing this module (every optimizer does) stays cheap and only
+GP users pay for SciPy, at their first fit.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from typing import Any
 
 import numpy as np
-from scipy import linalg, optimize
 
 from repro.errors import ValidationError
 from repro.surrogate.base import SurrogateModel, check_fit_inputs
@@ -103,6 +106,8 @@ class GaussianProcessRegressor(SurrogateModel):
 
     def _nll(self, log_theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
         """Negative log marginal likelihood at log hyperparameters."""
+        from scipy import linalg
+
         d = X.shape[1]
         signal = math.exp(2.0 * log_theta[0])
         lengths = np.exp(log_theta[1 : 1 + d])
@@ -122,6 +127,8 @@ class GaussianProcessRegressor(SurrogateModel):
         return nll
 
     def fit(self, X: Any, y: Any) -> "GaussianProcessRegressor":
+        from scipy import linalg, optimize
+
         X, y = check_fit_inputs(X, y)
         self.n_features_ = X.shape[1]
         self._y_mean = float(y.mean())
@@ -170,6 +177,8 @@ class GaussianProcessRegressor(SurrogateModel):
     def predict(
         self, X: Any, return_std: bool = False
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        from scipy import linalg
+
         X = self._check_predict_input(X)
         if self._X is None or self._alpha is None or self._L is None:
             raise ValidationError("GaussianProcessRegressor is not fitted yet")

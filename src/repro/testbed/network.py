@@ -1,7 +1,7 @@
 """Network topology and emulation.
 
 E2Clab's network manager applies ``tc``-style latency/bandwidth constraints
-between layers of the continuum. Here the topology is a graph (networkx) of
+between layers of the continuum. Here the topology is a graph of
 *endpoints* — sites, clusters or logical layers (``edge``/``fog``/``cloud``)
 — whose edges carry latency and bandwidth. Transfer time for a payload is::
 
@@ -9,17 +9,72 @@ between layers of the continuum. Here the topology is a graph (networkx) of
 
 along the shortest-latency path, which is the first-order model used by the
 Edge-to-Cloud emulation literature the paper builds on.
+
+The graph is an insertion-ordered dict-of-dicts adjacency searched with the
+textbook bidirectional Dijkstra; ``tests/test_network_dijkstra.py`` checks
+its paths, equal-latency ties included, against a reference graph library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
 
 from repro.errors import ValidationError
 
 __all__ = ["Link", "NetworkPath", "NetworkEmulator"]
+
+#: ``adjacency[u][v]`` is the edge dict shared by both directions of a link.
+Adjacency = dict[str, dict[str, dict[str, float]]]
+
+
+def _walk(node: str | None, preds: dict[str, str | None]) -> list[str]:
+    hops = []
+    while node is not None:
+        hops.append(node)
+        node = preds[node]
+    return hops
+
+
+def _shortest_hops(adj: Adjacency, source: str, target: str) -> list[str] | None:
+    """Minimum-latency hops from ``source`` to ``target`` (``None``: no path).
+
+    Bidirectional Dijkstra alternating a forward and a backward search, with
+    ``(dist, counter, node)`` heap entries and relaxation on strictly shorter
+    distances only: among equal-latency paths the one found first wins.
+    """
+    dists: list[dict[str, float]] = [{}, {}]
+    preds: list[dict[str, str | None]] = [{source: None}, {target: None}]
+    seen: list[dict[str, float]] = [{source: 0}, {target: 0}]
+    fringe: list[list[tuple[float, int, str]]] = [[], []]
+    c = count()
+    heappush(fringe[0], (0, next(c), source))
+    heappush(fringe[1], (0, next(c), target))
+    meet = None
+    best = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        if v in dists[direction]:
+            continue
+        dists[direction][v] = dist
+        if v in dists[1 - direction]:
+            return _walk(meet, preds[0])[::-1] + _walk(preds[1][meet], preds[1])
+        for w, edge in adj[v].items():
+            length = dist + edge["latency_ms"]
+            if w not in dists[direction] and (
+                w not in seen[direction] or length < seen[direction][w]
+            ):
+                seen[direction][w] = length
+                heappush(fringe[direction], (length, next(c), w))
+                preds[direction][w] = v
+                if w in seen[1 - direction]:
+                    total = length + seen[1 - direction][w]
+                    if best is None or best > total:
+                        best, meet = total, w
+    return None
 
 
 @dataclass(frozen=True)
@@ -84,24 +139,24 @@ class NetworkEmulator:
     DEFAULT_BANDWIDTH_GBPS = 10.0
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._adj: Adjacency = {}
         self._cache: dict[tuple[str, str], NetworkPath] = {}
 
     def add_site(self, name: str) -> None:
-        self._graph.add_node(name)
+        self._adj.setdefault(name, {})
 
     def endpoints(self) -> list[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._adj)
 
     def add_link(self, link: Link) -> None:
         """Install (or replace) the link between ``link.a`` and ``link.b``."""
-        self._graph.add_edge(
-            link.a,
-            link.b,
-            latency_ms=link.latency_ms,
-            bandwidth_gbps=link.bandwidth_gbps,
-            loss=link.loss,
-        )
+        edge = {
+            "latency_ms": link.latency_ms,
+            "bandwidth_gbps": link.bandwidth_gbps,
+            "loss": link.loss,
+        }
+        self._adj.setdefault(link.a, {})[link.b] = edge
+        self._adj.setdefault(link.b, {})[link.a] = edge
         self._cache.clear()
 
     def constrain(
@@ -135,17 +190,14 @@ class NetworkEmulator:
         return path
 
     def _resolve(self, a: str, b: str) -> NetworkPath:
-        if a in self._graph and b in self._graph:
-            try:
-                hops = nx.shortest_path(self._graph, a, b, weight="latency_ms")
-            except nx.NetworkXNoPath:
-                hops = None
+        if a in self._adj and b in self._adj:
+            hops = _shortest_hops(self._adj, a, b)
             if hops is not None:
                 latency = 0.0
                 bandwidth = float("inf")
                 success = 1.0
                 for u, v in zip(hops, hops[1:]):
-                    edge = self._graph.edges[u, v]
+                    edge = self._adj[u][v]
                     latency += edge["latency_ms"]
                     bandwidth = min(bandwidth, edge["bandwidth_gbps"])
                     success *= 1.0 - edge["loss"]

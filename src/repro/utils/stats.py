@@ -150,12 +150,12 @@ def mean_std(values: Sequence[float]) -> Summary:
 
 def confidence_interval(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
     """Normal-approximation confidence interval for the sample mean."""
-    from scipy import stats as sps
+    from scipy.special import ndtri
 
     arr = np.asarray(list(values), dtype=float)
     if arr.size < 2:
         raise ValueError("confidence interval needs at least two samples")
     sem = arr.std(ddof=1) / math.sqrt(arr.size)
-    z = sps.norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     centre = float(arr.mean())
     return centre - z * sem, centre + z * sem
