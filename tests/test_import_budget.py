@@ -4,8 +4,14 @@ Every deployment (the CLI, each store worker, the background-refit child)
 starts a fresh interpreter, so what the default import path and a default
 campaign load is paid on every cold start. Each check runs in a fresh
 interpreter and lists which heavy modules ended up in ``sys.modules``.
+
+The default path needs ``scipy.special`` (``ndtr``/``ndtri``), so whatever a
+bare ``import scipy.special`` loads is part of its floor: SciPy before 1.17
+imports ``scipy.linalg`` from ``scipy.special`` at module level, later
+versions do not. The budget is what the default path loads beyond that.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -41,12 +47,23 @@ def loaded_heavy_modules(code: str, cwd: Path) -> list[str]:
     return json.loads(result.stdout.splitlines()[-1])
 
 
+@functools.cache
+def scipy_special_floor() -> frozenset[str]:
+    """The HEAVY modules a bare ``import scipy.special`` loads on this SciPy."""
+    return frozenset(loaded_heavy_modules("import scipy.special", Path.cwd()))
+
+
+def heavy_beyond_floor(code: str, cwd: Path) -> list[str]:
+    """The HEAVY modules ``code`` loads that ``scipy.special`` does not load itself."""
+    return [m for m in loaded_heavy_modules(code, cwd) if m not in scipy_special_floor()]
+
+
 @pytest.mark.parametrize(
     "module",
     ["repro.plantnet", "repro.cli", "repro.search.worker", "repro.bayesopt.refit_worker"],
 )
 def test_entry_point_imports_stay_light(module, tmp_path):
-    assert loaded_heavy_modules(f"import {module}", tmp_path) == []
+    assert heavy_beyond_floor(f"import {module}", tmp_path) == []
 
 
 def test_default_campaign_and_hybrid_run_stay_light(tmp_path):
@@ -72,17 +89,18 @@ def test_default_campaign_and_hybrid_run_stay_light(tmp_path):
         ).run()
         assert result.completed_requests > 0
     """
-    assert loaded_heavy_modules(code, tmp_path) == []
+    assert heavy_beyond_floor(code, tmp_path) == []
 
 
 def test_gp_fit_loads_scipy_lazily(tmp_path):
-    code = """
+    lazy = [m for m in ("scipy.optimize", "scipy.linalg") if m not in scipy_special_floor()]
+    code = f"""
         import sys
 
         import numpy as np
         from repro.surrogate.gp import GaussianProcessRegressor
 
-        assert "scipy.optimize" not in sys.modules and "scipy.linalg" not in sys.modules
+        assert not [m for m in {lazy!r} if m in sys.modules]
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(12, 2))
         gp = GaussianProcessRegressor(n_restarts=1, random_state=0).fit(X, X.sum(axis=1))

@@ -80,7 +80,7 @@ def assert_paths_match(sites, program):
     relatency=st.integers(min_value=0, max_value=3),
 )
 def test_paths_match_networkx(sites, declared, readded, relatency):
-    # Re-adding a declared link with a new latency updates it in place.
+    # Re-adding a declared link replaces both directions and keeps the neighbour order.
     program = list(declared) + [
         (*declared[i][:2], relatency, *declared[i][3:]) for i in readded if i < len(declared)
     ]
