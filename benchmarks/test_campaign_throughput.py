@@ -26,11 +26,12 @@ head/tail split and fit counters, a sync-determinism marker, and peak RSS.
 Scale: 500 trials (flat arm 1000) by default; set ``REPRO_BENCH_SMOKE=1``
 for a 120-trial (flat arm 360) smoke run (used by CI).
 
-Set ``REPRO_BENCH_SERVE=1`` to run the fast arm with the live telemetry
-plane attached (status board + embedded HTTP monitor + a background
-scraper hammering ``/metrics`` and ``/status``): the measured suggest/tell
-percentiles then include the monitor's hot-path cost, and the perf gate
-downstream verifies serving does not regress the campaign.
+Set ``REPRO_BENCH_SERVE=1`` to run the fast arm in the served
+configuration of ``optimize --serve``: tracing on, the embedded HTTP
+monitor with its span-fed status board, and a background scraper
+hammering ``/metrics`` and ``/status``. The measured suggest/tell
+percentiles then include the telemetry plane's hot-path cost, and the
+perf gate downstream verifies serving does not regress the campaign.
 """
 
 from __future__ import annotations
@@ -123,19 +124,21 @@ def _run_baseline(n: int) -> dict:
 
 @contextlib.contextmanager
 def _serving(n: int):
-    """With ``REPRO_BENCH_SERVE=1``: a status board, a live monitor, and a
-    background scraper polling ``/metrics`` + ``/status`` while the timed
-    arm runs — so the measurement includes the telemetry plane's cost on
-    the hot path. Yields the monitor (or ``None`` when serving is off)."""
+    """With ``REPRO_BENCH_SERVE=1``: tracing on, a live monitor whose status
+    board is fed from the span stream, and a background scraper polling
+    ``/metrics`` + ``/status`` while the timed arm runs — so the
+    measurement includes the telemetry plane's cost on the hot path.
+    Yields the monitor (or ``None`` when serving is off)."""
     if not SERVE:
         yield None
         return
     import urllib.request
 
-    from repro.observability.live import LiveMonitor, StatusBoard, set_status_board
+    from repro import observability
+    from repro.observability.live import LiveMonitor
 
-    set_status_board(StatusBoard(name="bench_campaign", num_samples=n, mode="min"))
-    monitor = LiveMonitor("127.0.0.1", 0, name="bench_campaign")
+    observability.enable()
+    monitor = LiveMonitor("127.0.0.1", 0, name="bench_campaign", num_samples=n)
     monitor.start()
     stop = threading.Event()
 
@@ -156,7 +159,7 @@ def _serving(n: int):
         stop.set()
         scraper.join(timeout=5)
         monitor.stop()
-        set_status_board(None)
+        observability.disable()
 
 
 def _run_fast(n: int) -> dict:
@@ -179,7 +182,10 @@ def _run_fast(n: int) -> dict:
             name="bench_campaign",
         )
         wall = time.perf_counter() - wall0
-        serve_stats = monitor.self_stats() if monitor is not None else None
+        serve_stats = None
+        if monitor is not None:
+            serve_stats = monitor.self_stats()
+            assert monitor.board.snapshot()["trials"]["done"] == n
     suggest_s = [t.cost.get("suggest_s", 0.0) for t in analysis.trials]
     tell_s = [t.cost.get("tell_s", 0.0) for t in analysis.trials]
     opt_time = sum(suggest_s) + sum(tell_s)

@@ -35,9 +35,16 @@ carries no registry and no digests):
   (``python -m repro perf record|diff``);
 - :mod:`repro.observability.live` — the live telemetry plane: an embedded
   HTTP monitor (``optimize --serve``) exposing Prometheus ``/metrics``, a
-  ``/status`` campaign document, an SSE ``/events`` stream, the live
-  dashboard, and token-gated ``POST /telemetry`` ingest for remote workers
-  (``python -m repro worker --push-telemetry``).
+  ``/status`` campaign document derived from the span stream, an SSE
+  ``/events`` stream, the live dashboard, and token-gated
+  ``POST /telemetry`` ingest for remote workers
+  (``python -m repro worker --push-telemetry``). It pulls in
+  ``http.server`` and ``urllib``, so it is imported from its module, only
+  by code that serves or pushes, and is not re-exported here.
+
+The process-global tracer is the only telemetry slot: its
+digests (``tracer.perf``), metrics (``tracer.metrics``) and attached
+watchdog (``tracer.watchdog``) hang off it.
 
 ``python -m repro report <run-dir>`` renders the exported artifacts
 (:mod:`repro.observability.report`).
@@ -82,17 +89,6 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
 )
-# after dashboard/watchdog/fabric: live builds on all three.
-from repro.observability.live import (
-    LiveMonitor,
-    StatusBoard,
-    TelemetryPusher,
-    fetch_status,
-    get_status_board,
-    parse_serve_spec,
-    set_status_board,
-    stream_events,
-)
 from repro.observability.profile import COST_COMPONENTS, CostBreakdown, aggregate_costs
 from repro.observability.report import (
     RunArtifacts,
@@ -114,9 +110,7 @@ from repro.observability.watchdog import (
     Alert,
     CampaignWatchdog,
     WatchdogConfig,
-    get_watchdog,
     load_alerts,
-    set_watchdog,
 )
 
 __all__ = [
@@ -153,8 +147,6 @@ __all__ = [
     "Alert",
     "CampaignWatchdog",
     "WatchdogConfig",
-    "get_watchdog",
-    "set_watchdog",
     "load_alerts",
     "LatencyDigest",
     "PerfRecorder",
@@ -163,14 +155,6 @@ __all__ = [
     "drain_worker",
     "merge_payload",
     "worker_active",
-    "LiveMonitor",
-    "StatusBoard",
-    "TelemetryPusher",
-    "get_status_board",
-    "set_status_board",
-    "parse_serve_spec",
-    "fetch_status",
-    "stream_events",
     "render_report_json",
     "enable",
     "disable",
@@ -204,6 +188,7 @@ def export(run_dir: str | Path) -> list[Path]:
     run_dir = Path(run_dir)
     written: list[Path] = []
     tracer = get_tracer()
+    watchdog = tracer.watchdog
     if isinstance(tracer, RecordingTracer):
         written.append(tracer.export_jsonl(run_dir / "spans.jsonl"))
         spans = tracer.finished()
@@ -212,7 +197,6 @@ def export(run_dir: str | Path) -> list[Path]:
             from repro.observability.dashboard import TIMELINE_FILE
 
             written.append(write_trace_events(spans, run_dir / TRACE_EVENTS_FILE))
-            watchdog = get_watchdog()
             alerts = (
                 [alert.to_dict() for alert in watchdog.alerts()]
                 if watchdog is not None
@@ -227,7 +211,6 @@ def export(run_dir: str | Path) -> list[Path]:
                     perf=tracer.perf.to_dict(),
                 )
             )
-    watchdog = get_watchdog()
     if watchdog is not None:
         from repro.observability.watchdog import ALERTS_FILE
 

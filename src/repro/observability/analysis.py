@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
-from repro.observability.trace import Span, load_spans
+from repro.observability.trace import SCALAR_METRIC, Span, load_spans
 
 __all__ = [
     "TrialBreakdown",
@@ -110,7 +110,7 @@ def trial_breakdowns(spans: Iterable[Span]) -> list[TrialBreakdown]:
             start_s=span.start_s,
             end_s=span.end_s or span.start_s,
             status=str(span.attributes.get("status", span.status)),
-            objective=_maybe_float(span.attributes.get("objective")),
+            objective=_maybe_float(span.attributes.get(SCALAR_METRIC)),
         )
         for child in children.get(span.span_id, ()):
             segment = SEGMENT_OF.get(child.name)

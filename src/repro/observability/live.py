@@ -9,9 +9,9 @@ run. The live plane attaches a stdlib :class:`ThreadingHTTPServer` to a
 - ``GET /metrics`` — Prometheus text exposition from the tracer's
   span-derived registry and perf-digest summaries, plus ``repro_live_*``
   self-metrics;
-- ``GET /status`` — campaign JSON: phase, trial counts, incumbent,
-  objective-history tail, and worker liveness derived from the trial
-  store's heartbeat ledger;
+- ``GET /status`` — campaign JSON: phase, trial counts, incumbent and
+  objective-history tail derived from the span stream, and worker
+  liveness derived from the trial store's heartbeat ledger;
 - ``GET /events`` — a Server-Sent Events stream fed by the tracer's
   ``subscribe`` hook and the watchdog's alert stream. Each client gets a
   *bounded* queue; a slow consumer drops events (counted) instead of ever
@@ -49,17 +49,13 @@ from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import ValidationError
 from repro.observability import fabric
-from repro.observability.trace import get_tracer
-from repro.observability.watchdog import get_watchdog
+from repro.observability.trace import SCALAR_METRIC, get_tracer
 
 __all__ = [
     "MONITOR_FILE",
     "STATUS_SCHEMA",
     "PUSH_SCHEMA",
-    "NullStatusBoard",
     "StatusBoard",
-    "get_status_board",
-    "set_status_board",
     "parse_serve_spec",
     "LiveMonitor",
     "TelemetryPusher",
@@ -82,51 +78,27 @@ _MAX_BODY_BYTES = 32 * 1024 * 1024
 # -- campaign status board ------------------------------------------------------------
 
 
-class NullStatusBoard:
-    """Inert default: the runner's hooks cost one attribute check."""
+class StatusBoard:
+    """Thread-safe campaign progress backing ``GET /status``, derived from spans.
 
-    enabled = False
-
-    def configure(self, **kwargs: Any) -> None:
-        pass
-
-    def set_phase(self, phase: str) -> None:
-        pass
-
-    def trial_started(self, trial_id: str) -> None:
-        pass
-
-    def trial_finished(
-        self, trial_id: str, *, value: float | None = None, status: str = ""
-    ) -> None:
-        pass
-
-    def snapshot(self, tail: int = 32) -> dict[str, Any]:
-        return {}
-
-
-class StatusBoard(NullStatusBoard):
-    """Thread-safe campaign progress counters backing ``GET /status``.
-
-    The runner calls :meth:`trial_started` / :meth:`trial_finished` from the
-    submit loop; the manager drives :meth:`set_phase`. Everything else is
-    derived, so the hot-path cost is one short critical section per trial.
+    Its :class:`LiveMonitor` feeds it the tracer's finished spans through
+    :meth:`on_span`: a trial is running from its ``suggest`` span until its
+    ``trial:*`` span finishes. That span carries the trial's ``status`` and
+    its scalarized objective (:data:`~repro.observability.trace.SCALAR_METRIC`),
+    which is always minimized, so the incumbent follows the same convention
+    as the Phase III ``best_value``. The manager drives :meth:`set_phase`.
     """
-
-    enabled = True
 
     def __init__(
         self,
         *,
         name: str = "campaign",
         num_samples: int = 0,
-        mode: str = "min",
         history_limit: int = 4096,
     ) -> None:
         self._lock = threading.Lock()
         self.name = name
         self.num_samples = int(num_samples)
-        self.mode = mode
         self.started_unix = time.time()
         self._phase = "starting"
         self._running: set[str] = set()
@@ -137,43 +109,35 @@ class StatusBoard(NullStatusBoard):
         self._incumbent_value: float | None = None
         self._incumbent_trial: str | None = None
 
-    def configure(self, **kwargs: Any) -> None:
-        with self._lock:
-            for key in ("name", "mode"):
-                if key in kwargs:
-                    setattr(self, key, kwargs[key])
-            if "num_samples" in kwargs:
-                self.num_samples = int(kwargs["num_samples"])
-
     def set_phase(self, phase: str) -> None:
         with self._lock:
             self._phase = phase
 
-    def trial_started(self, trial_id: str) -> None:
-        with self._lock:
-            self._running.add(trial_id)
+    def on_span(self, span: Any) -> None:
+        """Fold one finished span into the counts (a tracer subscriber)."""
+        name = span.name
+        if name == "suggest":
+            with self._lock:
+                self._running.add(span.attributes.get("trial_id"))
+        elif name.startswith("trial:"):
+            self._trial_finished(span)
 
-    def trial_finished(
-        self, trial_id: str, *, value: float | None = None, status: str = ""
-    ) -> None:
+    def _trial_finished(self, span: Any) -> None:
+        trial_id = span.attributes.get("trial_id")
+        value = span.attributes.get(SCALAR_METRIC)
         with self._lock:
             self._running.discard(trial_id)
             self._done += 1
-            if status == "error":
+            if span.attributes.get("status") == "error":
                 self._errors += 1
             # NaN guards itself: NaN != NaN.
-            if value is not None and value == value:
+            if isinstance(value, (int, float)) and value == value:
                 value = float(value)
                 self._history.append((trial_id, value))
                 if len(self._history) > self._history_limit:
                     del self._history[: -self._history_limit]
                 best = self._incumbent_value
-                better = (
-                    best is None
-                    or (self.mode == "max" and value > best)
-                    or (self.mode != "max" and value < best)
-                )
-                if better:
+                if best is None or value < best:
                     self._incumbent_value = value
                     self._incumbent_trial = trial_id
 
@@ -183,7 +147,6 @@ class StatusBoard(NullStatusBoard):
             return {
                 "name": self.name,
                 "phase": self._phase,
-                "mode": self.mode,
                 "started_unix": self.started_unix,
                 "uptime_s": time.time() - self.started_unix,
                 "trials": {
@@ -201,23 +164,6 @@ class StatusBoard(NullStatusBoard):
                     [tid, val] for tid, val in self._history[-int(tail):]
                 ],
             }
-
-
-_board: NullStatusBoard = NullStatusBoard()
-_board_lock = threading.Lock()
-
-
-def get_status_board() -> NullStatusBoard:
-    """The process-global status board (inert unless a campaign serves)."""
-    return _board
-
-
-def set_status_board(board: NullStatusBoard | None) -> NullStatusBoard:
-    """Install ``board`` globally (``None`` restores the null); returns it."""
-    global _board
-    with _board_lock:
-        _board = board if board is not None else NullStatusBoard()
-        return _board
 
 
 # -- serve-spec parsing ---------------------------------------------------------------
@@ -271,10 +217,12 @@ class LiveMonitor:
 
     Lifecycle belongs to :class:`~repro.optimizer.manager.OptimizationManager`
     (or a test): :meth:`start` binds the server, subscribes to the live
-    tracer/watchdog, and writes the ``monitor.json`` discovery file;
-    :meth:`stop` reverses all of it. The server never touches campaign
-    state directly — it reads the process-global observability singletons,
-    so it serves whatever the campaign records.
+    tracer and the watchdog attached to it, and writes the ``monitor.json``
+    discovery file; :meth:`stop` reverses all of it. The server never
+    touches campaign state directly: it reads the process-global tracer
+    (spans, metrics, digests, ``tracer.watchdog``) and owns the
+    :attr:`board` it feeds from that tracer's span stream, so it serves
+    whatever the campaign records.
     """
 
     def __init__(
@@ -284,6 +232,7 @@ class LiveMonitor:
         *,
         run_dir: str | Path | None = None,
         name: str = "campaign",
+        num_samples: int = 0,
         token: str | None = None,
         sse_queue_size: int = 256,
         keepalive_s: float = 15.0,
@@ -292,6 +241,8 @@ class LiveMonitor:
         self.requested_port = int(port)
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.name = name
+        #: the ``/status`` counts, fed from the span subscription.
+        self.board = StatusBoard(name=name, num_samples=num_samples)
         #: gates ``POST /telemetry``; GET endpoints stay open (read-only).
         self.token = token or secrets.token_hex(16)
         self.sse_queue_size = int(sse_queue_size)
@@ -359,8 +310,8 @@ class LiveMonitor:
         if getattr(tracer, "enabled", False):
             tracer.subscribe(self._on_span)
             self._subscribed_tracer = tracer
-        watchdog = get_watchdog()
-        if watchdog is not None and hasattr(watchdog, "subscribe"):
+        watchdog = tracer.watchdog
+        if watchdog is not None:
             watchdog.subscribe(self._on_alert)
             self._subscribed_watchdog = watchdog
         self._write_discovery(closed=False)
@@ -454,6 +405,7 @@ class LiveMonitor:
 
     def _on_span(self, span: Any) -> None:
         try:
+            self.board.on_span(span)
             data = {
                 "name": span.name,
                 "duration_s": round(float(span.duration_s), 6),
@@ -554,18 +506,14 @@ class LiveMonitor:
     def status(self, *, tail: int = 32) -> dict[str, Any]:
         """The ``GET /status`` document."""
         doc: dict[str, Any] = {"schema": STATUS_SCHEMA, "url": self.url}
-        doc.update(get_status_board().snapshot(tail=tail))
+        doc.update(self.board.snapshot(tail=tail))
         doc["workers"] = self._worker_liveness()
-        watchdog = get_watchdog()
-        if watchdog is not None:
-            alerts = watchdog.alerts()
-            doc["alerts"] = {
-                "total": len(alerts),
-                "recent": [alert.to_dict() for alert in alerts[-5:]],
-            }
-        else:
-            doc["alerts"] = {"total": 0, "recent": []}
         tracer = get_tracer()
+        alerts = tracer.watchdog.alerts() if tracer.watchdog is not None else []
+        doc["alerts"] = {
+            "total": len(alerts),
+            "recent": [alert.to_dict() for alert in alerts[-5:]],
+        }
         doc["spans_recorded"] = getattr(tracer, "spans_recorded", 0)
         doc["live"] = self.self_stats()
         return doc
@@ -608,7 +556,7 @@ class LiveMonitor:
         tracer = get_tracer()
         spans = tracer.finished() if getattr(tracer, "enabled", False) else []
         analysis = analyze_spans(spans)
-        watchdog = get_watchdog()
+        watchdog = tracer.watchdog
         alerts = (
             [alert.to_dict() for alert in watchdog.alerts()]
             if watchdog is not None

@@ -31,7 +31,8 @@ A recording tracer also derives the hot-path latency digests and the
 metrics registry: every span it finishes or ingests passes once through
 :data:`repro.observability.digest.SPAN_OPS` into ``tracer.perf`` and
 through :data:`repro.observability.metrics.SPAN_METRICS` into
-``tracer.metrics``.
+``tracer.metrics``. A :class:`~repro.observability.watchdog.CampaignWatchdog`
+attached to the tracer is reachable as ``tracer.watchdog``.
 """
 
 from __future__ import annotations
@@ -42,10 +43,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.observability.digest import PerfRecorder
 from repro.observability.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.observability.watchdog import CampaignWatchdog
 
 __all__ = [
     "Span",
@@ -56,7 +60,12 @@ __all__ = [
     "set_tracer",
     "tracing",
     "load_spans",
+    "SCALAR_METRIC",
 ]
+
+#: trial-span attribute (and trial-result key) carrying a campaign trial's
+#: scalarized objective, which is always minimized.
+SCALAR_METRIC = "objective"
 
 SimClock = Callable[[], float]
 
@@ -162,6 +171,8 @@ class Tracer:
     perf: Optional[PerfRecorder] = None
     #: metrics derived from the finished spans (recording tracers).
     metrics: Optional[MetricsRegistry] = None
+    #: the watchdog attached to this tracer's span stream, if any.
+    watchdog: Optional["CampaignWatchdog"] = None
 
     def span(
         self,

@@ -31,18 +31,17 @@ import math
 import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping
 
 from repro.errors import ValidationError
 from repro.observability.digest import LatencyDigest
 from repro.observability.metrics import faults_injected
+from repro.observability.trace import SCALAR_METRIC
 
 __all__ = [
     "WatchdogConfig",
     "Alert",
     "CampaignWatchdog",
-    "get_watchdog",
-    "set_watchdog",
     "load_alerts",
     "ALERTS_FILE",
 ]
@@ -76,7 +75,7 @@ class WatchdogConfig:
     #: hard cap on emitted alerts per kind (the rate limiter).
     max_alerts_per_kind: int = 5
     #: metric attribute consulted for stall/regression (the runner's metric).
-    metric: str = "objective"
+    metric: str = SCALAR_METRIC
     #: optimization direction of ``metric`` ("min" or "max").
     mode: str = "min"
     #: percentile-based tail rule: fire when an execute span exceeds
@@ -179,14 +178,17 @@ class CampaignWatchdog:
     # -- lifecycle ---------------------------------------------------------------
 
     def attach(self, tracer: Any) -> None:
-        """Subscribe to a tracer's finished-span stream."""
+        """Subscribe to a tracer's finished-span stream (as ``tracer.watchdog``)."""
         if getattr(tracer, "enabled", False):
             tracer.subscribe(self.on_span)
+            tracer.watchdog = self
             self._tracer = tracer
 
     def detach(self) -> None:
         if self._tracer is not None:
             self._tracer.unsubscribe(self.on_span)
+            if self._tracer.watchdog is self:
+                self._tracer.watchdog = None
             self._tracer = None
 
     # -- the span stream -----------------------------------------------------------
@@ -530,20 +532,3 @@ def load_alerts(path: str | Path) -> list[Alert]:
         if line:
             out.append(Alert.from_dict(json.loads(line)))
     return out
-
-
-_watchdog: Optional[CampaignWatchdog] = None
-_watchdog_lock = threading.Lock()
-
-
-def get_watchdog() -> Optional[CampaignWatchdog]:
-    """The process-global watchdog, or ``None`` when no campaign armed one."""
-    return _watchdog
-
-
-def set_watchdog(watchdog: Optional[CampaignWatchdog]) -> Optional[CampaignWatchdog]:
-    """Install ``watchdog`` globally (``None`` clears it); returns it."""
-    global _watchdog
-    with _watchdog_lock:
-        _watchdog = watchdog
-        return _watchdog

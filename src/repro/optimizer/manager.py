@@ -171,16 +171,14 @@ class OptimizationManager:
         Phase III summary, exported as ``alerts.jsonl``, and checkpointed so
         a resumed campaign does not re-fire them.
         """
-        from repro.observability.watchdog import set_watchdog
-
         watchdog = self.conf.build_watchdog()
         serving = self.conf.serve is not None
         observing = self.conf.observability or watchdog is not None or serving
         if observing:
             observability.enable()
+        tracer = get_tracer()
         if watchdog is not None:
-            set_watchdog(watchdog)
-            watchdog.attach(get_tracer())
+            watchdog.attach(tracer)
             archive = self.optimization.archive
             # Resume: restore fired-alert state, then rebuild the straggler /
             # objective baselines from the trials the searcher will replay.
@@ -188,40 +186,30 @@ class OptimizationManager:
             watchdog.seed_from_trials(archive.load_checkpoint())
         monitor = None
         if serving:
-            # After set_watchdog: the monitor subscribes to whatever
-            # tracer/watchdog are installed when it starts.
-            from repro.observability.live import (
-                LiveMonitor,
-                StatusBoard,
-                set_status_board,
-            )
+            # After attach: the monitor subscribes to the tracer and to
+            # the watchdog attached to it when it starts.
+            from repro.observability.live import LiveMonitor
 
-            mode = (self.conf.objectives[0].get("mode", "min") or "min").lower()
-            set_status_board(
-                StatusBoard(
-                    name=self.conf.name,
-                    num_samples=self.conf.num_samples,
-                    mode=mode,
-                )
-            )
             monitor = LiveMonitor.from_spec(
-                self.conf.serve, run_dir=self.run_dir, name=self.conf.name
+                self.conf.serve,
+                run_dir=self.run_dir,
+                name=self.conf.name,
+                num_samples=self.conf.num_samples,
             )
+            # Set before the server binds: /status never reads "starting".
+            monitor.board.set_phase("optimize")
             monitor.start()
         try:
-            from repro.observability.live import get_status_board
-
-            board = get_status_board()
-            tracer = get_tracer()
-            board.set_phase("optimize")
             with tracer.span("phase:optimize"):
                 summary = self.optimization.run()
             outcome = OptimizationOutcome(summary=summary)
             if self.conf.repeat > 0:
-                board.set_phase("validate")
+                if monitor is not None:
+                    monitor.board.set_phase("validate")
                 with tracer.span("phase:validate", repeat=self.conf.repeat):
                     outcome = self.validate(summary.best_configuration, outcome=outcome)
-            board.set_phase("finished")
+            if monitor is not None:
+                monitor.board.set_phase("finished")
             return outcome
         finally:
             if observing:
@@ -231,13 +219,9 @@ class OptimizationManager:
                     self.optimization.export_observability()
                 finally:
                     if monitor is not None:
-                        from repro.observability.live import set_status_board
-
                         monitor.stop()
-                        set_status_board(None)
                     if watchdog is not None:
                         watchdog.detach()
-                        set_watchdog(None)
                     observability.disable()
 
     def validate(

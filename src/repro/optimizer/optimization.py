@@ -25,7 +25,7 @@ from typing import Any, Mapping
 from repro.errors import OptimizationError
 from repro.experiments import EvaluationRecord, ExperimentArchive, ExperimentManifest
 from repro.observability import export as export_observability_artifacts
-from repro.observability.trace import Tracer, get_tracer
+from repro.observability.trace import SCALAR_METRIC, Tracer, get_tracer
 from repro.optimizer.problem import OptimizationProblem
 from repro.optimizer.summary import ReproducibilitySummary
 from repro.search.algos import ConcurrencyLimiter, SearchAlgorithm, SurrogateSearch
@@ -34,9 +34,6 @@ from repro.search.runner import ExperimentAnalysis, TrialRunner
 from repro.search.schedulers import TrialScheduler
 
 __all__ = ["Optimization"]
-
-#: metric name under which the scalarized objective is reported.
-SCALAR_METRIC = "objective"
 
 
 class Optimization(abc.ABC):
@@ -213,21 +210,20 @@ class Optimization(abc.ABC):
             resume_trials = [Trial.from_dict(r) for r in self.archive.load_checkpoint()]
             resume_searcher_state = self.archive.load_searcher_state()
 
+        tracer = self.tracer
+
         def checkpoint(
             records: list[dict[str, Any]], searcher_state: dict[str, Any] | None = None
         ) -> Path:
             # When a live watchdog is armed, its control state rides along in
             # checkpoint.json so --resume does not re-fire old alerts; the
             # searcher state keeps the refit cadence across resumes.
-            from repro.observability.watchdog import get_watchdog
-
-            watchdog = get_watchdog()
+            watchdog = tracer.watchdog
             state = watchdog.state_dict() if watchdog is not None else None
             return self.archive.store_checkpoint(
                 records, watchdog_state=state, searcher_state=searcher_state
             )
 
-        tracer = self.tracer
         start = time.perf_counter()
         runner = TrialRunner(
             self.run_objective,
@@ -266,11 +262,8 @@ class Optimization(abc.ABC):
             tracer.metrics.gauge("repro_best_value", "incumbent objective value").set(
                 summary.best_value
             )
-        from repro.observability.watchdog import get_watchdog
-
-        watchdog = get_watchdog()
-        if watchdog is not None:
-            summary.alerts = watchdog.summary()
+        if tracer.watchdog is not None:
+            summary.alerts = tracer.watchdog.summary()
         with self._lock:
             self.archive.store_summary(summary.to_dict())
         self.export_observability()

@@ -208,9 +208,6 @@ class TrialRunner:
         #: installed when :meth:`run` starts.
         self._explicit_tracer = tracer
         self._tracer = tracer if tracer is not None else get_tracer()
-        #: the live status board (resolved lazily in run(); inert by default,
-        #: so the hooks cost one attribute check when nothing serves).
-        self._board: Any = None
         #: open per-trial spans, for cross-thread parenting (trial_id → Span).
         self._trial_spans: dict[str, Any] = {}
         self._lock = threading.Lock()
@@ -513,13 +510,6 @@ class TrialRunner:
             self._close_trial(trial)
             self._log_trial(trial)
             self._record_finished(trial)
-            if self._board is not None and self._board.enabled:
-                value = trial.result.get(self.metric) if trial.result else None
-                self._board.trial_finished(
-                    trial.trial_id,
-                    value=value if isinstance(value, (int, float)) else None,
-                    status=getattr(trial.status, "value", str(trial.status)),
-                )
 
     # -- checkpoint / resume ---------------------------------------------------------
 
@@ -571,9 +561,6 @@ class TrialRunner:
     # -- main loop --------------------------------------------------------------------
 
     def run(self) -> ExperimentAnalysis:
-        from repro.observability.live import get_status_board
-
-        self._board = get_status_board()
         if self._explicit_tracer is None:
             self._tracer = get_tracer()
         start = time.perf_counter()
@@ -610,8 +597,6 @@ class TrialRunner:
                             # slot; tell the searcher right away.
                             self._after_trial(trial)
                         else:
-                            if self._board is not None and self._board.enabled:
-                                self._board.trial_started(trial.trial_id)
                             futures[backend.submit(trial)] = trial
                     if len(configs) < len(ids):
                         break  # limited/exhausted for now: drain first

@@ -6,7 +6,8 @@ an earlier implementation (which timed every op a second time, next to its
 span) produced for the same campaigns. The campaigns cover retries, a trial
 timeout, an evaluation-cache hit and a batched fit-bearing ask.
 ``tests/test_metrics_exactly_once.py`` runs the same campaigns against the
-exported metrics.
+exported metrics. Every campaign also feeds a live status board from the
+span stream, which must count each trial exactly once on every executor.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from contextlib import contextmanager
 import repro.observability as obs
 from repro.bayesopt import Integer, Space
 from repro.observability.digest import PERF_PROFILE_FILE
-from repro.search import RandomSearch, SearchAlgorithm, SurrogateSearch, TrialRunner
+from repro.observability.live import StatusBoard
+from repro.search import (
+    RandomSearch,
+    SearchAlgorithm,
+    SurrogateSearch,
+    TrialRunner,
+    TrialStatus,
+)
 from repro.search.evalcache import EvalCache
 
 
@@ -32,13 +40,23 @@ def _loss(config):
 
 
 def run_traced(runner, run_dir):
-    """Run ``runner`` with telemetry on and export its artifacts to ``run_dir``."""
-    obs.enable()
+    """Run ``runner`` with telemetry on and export its artifacts to ``run_dir``.
+
+    A status board subscribed to the tracer must end with every trial done,
+    none running, and one error per ERROR trial.
+    """
+    tracer, _ = obs.enable()
+    board = StatusBoard(num_samples=runner.num_samples)
+    tracer.subscribe(board.on_span)
     try:
-        runner.run()
+        analysis = runner.run()
         obs.export(run_dir)
     finally:
         obs.disable()
+    counts = board.snapshot()["trials"]
+    assert counts["done"] == len(analysis.trials)
+    assert counts["running"] == 0
+    assert counts["errors"] == sum(t.status is TrialStatus.ERROR for t in analysis.trials)
 
 
 def _op_counts(runner, run_dir):

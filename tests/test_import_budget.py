@@ -1,4 +1,5 @@
-"""Import budget: the default path never loads SciPy's heavy subpackages or networkx.
+"""Import budget: the default path never loads SciPy's heavy subpackages, networkx,
+or the live telemetry plane's HTTP stack.
 
 Every deployment (the CLI, each store worker, the background-refit child)
 starts a fresh interpreter, so what the default import path and a default
@@ -9,6 +10,10 @@ The default path needs ``scipy.special`` (``ndtr``/``ndtri``), so whatever a
 bare ``import scipy.special`` loads is part of its floor: SciPy before 1.17
 imports ``scipy.linalg`` from ``scipy.special`` at module level, later
 versions do not. The budget is what the default path loads beyond that.
+
+The live monitor (``repro.observability.live``) and the ``http.server`` /
+``urllib.request`` modules it needs load only when a campaign serves or a
+worker pushes telemetry.
 """
 
 import functools
@@ -22,7 +27,15 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-HEAVY = ("scipy.stats", "scipy.optimize", "scipy.linalg", "networkx")
+HEAVY = (
+    "scipy.stats",
+    "scipy.optimize",
+    "scipy.linalg",
+    "networkx",
+    "repro.observability.live",
+    "http.server",
+    "urllib.request",
+)
 
 
 def loaded_heavy_modules(code: str, cwd: Path) -> list[str]:

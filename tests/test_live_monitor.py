@@ -32,13 +32,12 @@ from repro.observability.live import (
     LiveMonitor,
     StatusBoard,
     TelemetryPusher,
-    get_status_board,
     parse_serve_spec,
     render_status_line,
-    set_status_board,
     stream_events,
 )
-from repro.observability.watchdog import CampaignWatchdog, set_watchdog
+from repro.observability.trace import RecordingTracer
+from repro.observability.watchdog import CampaignWatchdog
 from repro.optimizer import OptimizationManager, OptimizerConf
 from repro.search.store import TrialStore
 
@@ -53,10 +52,8 @@ OBJECTIVES = [{"metric": "user_resp_time", "mode": "min"}]
 
 @pytest.fixture(autouse=True)
 def _clean_globals():
-    """Every test leaves the process-global telemetry slots inert."""
+    """Every test leaves the process-global tracer inert."""
     yield
-    set_watchdog(None)
-    set_status_board(None)
     obs.disable()
 
 
@@ -116,13 +113,23 @@ class TestParseServeSpec:
 
 class TestStatusBoard:
     def test_counts_incumbent_and_tail(self):
-        board = StatusBoard(name="camp", num_samples=5, mode="min")
+        board = StatusBoard(name="camp", num_samples=5)
         board.set_phase("optimize")
-        board.trial_started("t1")
-        board.trial_started("t2")
-        board.trial_finished("t1", value=3.0, status="terminated")
-        board.trial_finished("t2", value=2.0, status="terminated")
-        board.trial_finished("t3", value=float("nan"), status="error")
+        tracer = RecordingTracer()
+        tracer.subscribe(board.on_span)
+        for trial_id in ("t1", "t2", "t3"):
+            with tracer.span("suggest", trial_id=trial_id):
+                pass
+        assert board.snapshot()["trials"]["running"] == 3
+        for trial_id, status, value in (
+            ("t1", "terminated", 3.0),
+            ("t2", "terminated", 2.0),
+            ("t3", "error", float("nan")),
+        ):
+            with tracer.span(
+                f"trial:{trial_id}", trial_id=trial_id, status=status, objective=value
+            ):
+                pass
         snap = board.snapshot()
         assert snap["phase"] == "optimize"
         assert snap["trials"] == {
@@ -136,18 +143,74 @@ class TestStatusBoard:
         # the NaN objective was dropped from the history tail
         assert snap["objective_tail"] == [["t1", 3.0], ["t2", 2.0]]
 
-    def test_max_mode_incumbent(self):
-        board = StatusBoard(name="camp", num_samples=2, mode="max")
-        board.trial_finished("a", value=1.0, status="terminated")
-        board.trial_finished("b", value=9.0, status="terminated")
-        assert board.snapshot()["incumbent"] == {"trial_id": "b", "value": 9.0}
+    def test_concurrent_span_stream_counts_every_trial(self):
+        board = StatusBoard(num_samples=400)
+        tracer = RecordingTracer()
+        tracer.subscribe(board.on_span)
 
-    def test_null_board_is_default_and_inert(self):
-        board = get_status_board()
-        assert not board.enabled
-        board.trial_started("x")
-        board.trial_finished("x", value=1.0, status="terminated")
-        assert board.snapshot() == {}
+        def emit(k):
+            for i in range(50):
+                trial_id = f"w{k}_{i}"
+                with tracer.span("suggest", trial_id=trial_id):
+                    pass
+                with tracer.span(
+                    f"trial:{trial_id}",
+                    trial_id=trial_id,
+                    status="terminated",
+                    objective=float(50 * k + i),
+                ):
+                    pass
+
+        threads = [threading.Thread(target=emit, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        snap = board.snapshot()
+        assert snap["trials"]["done"] == 400
+        assert snap["trials"]["running"] == 0
+        assert snap["incumbent"] == {"trial_id": "w0_0", "value": 0.0}
+
+    def test_max_objective_incumbent_is_the_summary_best(self, tmp_path, monkeypatch):
+        """The board ranks the runner's scalarized objective, which is always
+        minimized: a ``mode: "max"`` campaign reports its best trial."""
+        seen = {}
+        stop = LiveMonitor.stop
+
+        def capture_then_stop(monitor):
+            seen.setdefault("status", monitor.status())
+            stop(monitor)
+
+        monkeypatch.setattr(LiveMonitor, "stop", capture_then_stop)
+        conf = OptimizerConf.from_dict(
+            {
+                "name": "maxprobe",
+                "variables": [{"name": "x", "type": "integer", "low": 0, "high": 10}],
+                "objectives": [{"metric": "throughput", "mode": "max"}],
+                "algorithm": {"search": "random"},
+                "num_samples": 8,
+                "seed": 3,
+                "workdir": str(tmp_path / "work"),
+                "serve": "127.0.0.1:0",
+            }
+        )
+        manager = OptimizationManager(
+            conf, evaluator=lambda config, **kw: {"throughput": float(config["x"])}
+        )
+        summary = manager.run().summary
+        status = seen["status"]
+        assert status["phase"] == "finished"
+        assert status["trials"]["done"] == 8
+        incumbent = status["incumbent"]
+        assert incumbent["value"] == summary.best_value
+        index = int(incumbent["trial_id"].rsplit("_", 1)[1])
+        assert summary.evaluations[index]["configuration"] == summary.best_configuration
 
 
 class TestWorkerLiveness:
@@ -240,7 +303,6 @@ class TestLiveServer:
     def test_sse_client_receives_injected_watchdog_alert(self):
         tracer, _ = obs.enable()
         watchdog = CampaignWatchdog()
-        set_watchdog(watchdog)
         watchdog.attach(tracer)
         monitor = LiveMonitor("127.0.0.1", 0, name="sse")
         monitor.start()
@@ -407,11 +469,12 @@ class TestFormatJson:
 
 class TestMonitorCli:
     def test_once_against_live_url(self, capsys):
-        set_status_board(StatusBoard(name="cli", num_samples=3))
-        get_status_board().set_phase("optimize")
-        get_status_board().trial_started("t1")
-        monitor = LiveMonitor("127.0.0.1", 0, name="cli")
+        tracer, _ = obs.enable()
+        monitor = LiveMonitor("127.0.0.1", 0, name="cli", num_samples=3)
         monitor.start()
+        monitor.board.set_phase("optimize")
+        with tracer.span("suggest", trial_id="t1"):
+            pass
         try:
             assert main(["monitor", monitor.url, "--once"]) == 0
             out = capsys.readouterr().out

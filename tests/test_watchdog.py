@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.faults import FaultInjector, FaultSpec, TransientFault
+from repro import observability as obs
 from repro.observability import set_tracer
 from repro.observability.trace import RecordingTracer, Span
 from repro.observability.watchdog import (
@@ -13,9 +14,7 @@ from repro.observability.watchdog import (
     Alert,
     CampaignWatchdog,
     WatchdogConfig,
-    get_watchdog,
     load_alerts,
-    set_watchdog,
 )
 from repro.optimizer import OptimizationManager, OptimizerConf
 
@@ -24,7 +23,6 @@ from repro.optimizer import OptimizationManager, OptimizerConf
 def _clean_globals():
     yield
     set_tracer(None)
-    set_watchdog(None)
 
 
 def _execute_span(span_id, trial_id, duration, *, status="ok", error=None, end=None):
@@ -265,6 +263,7 @@ class TestSpanStream:
         tracer = RecordingTracer()
         watchdog = CampaignWatchdog(WatchdogConfig(straggler_min_trials=2, stall_patience=1))
         watchdog.attach(tracer)
+        assert tracer.watchdog is watchdog
         try:
             with tracer.span("trial:t1", trial_id="t1", objective=1.0):
                 pass
@@ -280,6 +279,7 @@ class TestSpanStream:
         watchdog = CampaignWatchdog(WatchdogConfig(stall_patience=1))
         watchdog.attach(tracer)
         watchdog.detach()
+        assert tracer.watchdog is None
         with tracer.span("trial:t1", trial_id="t1", objective=1.0):
             pass
         assert watchdog.alerts() == []
@@ -355,7 +355,16 @@ def _conf_dict(workdir, num_samples=6, **extra):
 
 
 class TestCampaignIntegration:
-    def test_watchdog_block_implies_observability_artifacts(self, tmp_path):
+    def test_watchdog_block_implies_observability_artifacts(self, tmp_path, monkeypatch):
+        tracers = []
+        enable = obs.enable
+
+        def recording_enable():
+            tracer, registry = enable()
+            tracers.append(tracer)
+            return tracer, registry
+
+        monkeypatch.setattr(obs, "enable", recording_enable)
         conf = OptimizerConf.from_dict(
             _conf_dict(tmp_path, watchdog={"enabled": True})
         )
@@ -367,7 +376,8 @@ class TestCampaignIntegration:
         for name in ("spans.jsonl", ALERTS_FILE, "timeline.html", "trace_events.json"):
             assert (manager.run_dir / name).exists(), name
         assert "total" in outcome.summary.alerts
-        assert get_watchdog() is None  # cleared after the run
+        [tracer] = tracers
+        assert tracer.watchdog is None  # detached after the run
 
     def test_summary_renders_watchdog_line(self, tmp_path):
         conf = OptimizerConf.from_dict(
