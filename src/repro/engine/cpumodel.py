@@ -120,19 +120,28 @@ class CpuContentionModel:
         """A task drawing ``draw`` actual cores becomes active."""
         if draw < 0:
             raise ValueError("core draw must be >= 0")
-        self._advance(now)
+        # _advance, inlined here and in release(): each runs twice per
+        # simulated stage.
+        dt = now - self._last_time
+        if dt > 0:
+            ratio = self._demand / self.cores
+            self._usage_integral += (ratio if ratio < 1.0 else 1.0) * dt
+            self._last_time = now
         self._demand += draw
 
     def release(self, draw: float, now: float) -> None:
         """A task drawing ``draw`` cores finished."""
-        self._advance(now)
+        dt = now - self._last_time
+        if dt > 0:
+            ratio = self._demand / self.cores
+            self._usage_integral += (ratio if ratio < 1.0 else 1.0) * dt
+            self._last_time = now
         demand = self._demand - draw
         self._demand = demand if demand > self._base_load else self._base_load
 
     def _advance(self, now: float) -> None:
         dt = now - self._last_time
         if dt > 0:
-            # usage(), inlined: this runs twice per simulated stage
             ratio = self._demand / self.cores
             self._usage_integral += (ratio if ratio < 1.0 else 1.0) * dt
             self._last_time = now

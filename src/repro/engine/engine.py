@@ -29,7 +29,7 @@ from typing import Any, Generator, Optional
 from repro import simcore
 from repro.engine.config import EngineModelParams, ThreadPoolConfig, WorkloadSpec
 from repro.observability.trace import get_tracer
-from repro.engine.cpumodel import CpuContentionModel
+from repro.engine.cpumodel import CpuContentionModel, inflation_factor
 from repro.engine.gpu import GpuModel
 from repro.engine.metrics import EngineRunResult, MetricsCollector, POOL_NAMES, RequestTrace
 from repro.engine.tasks import TaskType
@@ -156,37 +156,43 @@ class IdentificationEngine:
         Wait times, the response and the trace go to the collector in place
         when the request starts; service times go to ``self.metrics`` as of
         each stage's end (the hybrid engine swaps collectors between
-        windows while requests are in flight).
+        windows while requests are in flight). Both go straight to the
+        collector's ``task_stats`` once the warm-up has passed, and each
+        stage's slowdown comes straight from :func:`inflation_factor`, the
+        contention curve the analytic model shares.
         """
         env = self.env
         p = self.params
         pools = self.pools
         metrics = self.metrics
         cpu = self.cpu
-        inflation = cpu.inflation
+        cores = cpu.cores
+        scale, sharpness, rho_max, kappa = cpu.scale, cpu.sharpness, cpu.rho_max, cpu.kappa
         acquire = cpu.acquire
         release = cpu.release
         noise = self._noise
         tracing = metrics.trace_enabled
         stamps: dict[str, float] = {}
-        submitted = env.now
+        submitted = env._now
 
         http = pools["http"]
         http_req = http.request()
         yield http_req
         try:
             # pre-process
-            t0 = now = env.now
-            slowdown = inflation()
+            t0 = now = env._now
+            slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
             draw = p.w_http_misc / slowdown
             acquire(draw, now)
             try:
                 duration = p.t_preprocess * slowdown * noise()
                 yield duration
             finally:
-                now = env.now
+                now = env._now
                 release(draw, now)
-            self.metrics.record_task(_PRE_PROCESS, duration, now)
+            collector = self.metrics
+            if now >= collector.warmup:
+                collector.task_stats[_PRE_PROCESS].add(duration)
             if tracing:
                 stamps["pre-process"] = now - t0
 
@@ -195,13 +201,14 @@ class IdentificationEngine:
             pool = pools["download"]
             claim = pool.request()
             yield claim
-            now = env.now
-            metrics.record_task(_WAIT_DOWNLOAD, now - t0, now)
+            now = env._now
+            if now >= metrics.warmup:
+                metrics.task_stats[_WAIT_DOWNLOAD].add(now - t0)
             if tracing:
                 stamps["wait-download"] = now - t0
             try:
                 t0 = now
-                slowdown = inflation()
+                slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
                 draw = p.w_download / slowdown
                 acquire(draw, now)
                 try:
@@ -209,9 +216,11 @@ class IdentificationEngine:
                     duration = (network + p.t_download_cpu * slowdown) * noise()
                     yield duration
                 finally:
-                    now = env.now
+                    now = env._now
                     release(draw, now)
-                self.metrics.record_task(_DOWNLOAD, duration, now)
+                collector = self.metrics
+                if now >= collector.warmup:
+                    collector.task_stats[_DOWNLOAD].add(duration)
                 if tracing:
                     stamps["download"] = now - t0
             finally:
@@ -222,8 +231,9 @@ class IdentificationEngine:
             pool = pools["extract"]
             claim = pool.request()
             yield claim
-            now = env.now
-            metrics.record_task(_WAIT_EXTRACT, now - t0, now)
+            now = env._now
+            if now >= metrics.warmup:
+                metrics.task_stats[_WAIT_EXTRACT].add(now - t0)
             if tracing:
                 stamps["wait-extract"] = now - t0
             try:
@@ -237,18 +247,20 @@ class IdentificationEngine:
                     yield duration
                 finally:
                     gpu.stream_finished()
-                    now = env.now
+                    now = env._now
                     release(spin, now)
-                slowdown = inflation()
+                slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
                 draw = p.w_extract / slowdown
                 acquire(draw, now)
                 try:
                     duration = p.t_extract_cpu * slowdown * noise()
                     yield duration
                 finally:
-                    now = env.now
+                    now = env._now
                     release(draw, now)
-                self.metrics.record_task(_EXTRACT, now - t0, now)
+                collector = self.metrics
+                if now >= collector.warmup:
+                    collector.task_stats[_EXTRACT].add(now - t0)
                 if tracing:
                     stamps["extract"] = now - t0
             finally:
@@ -256,16 +268,18 @@ class IdentificationEngine:
 
             # process
             t0 = now
-            slowdown = inflation()
+            slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
             draw = p.w_http_misc / slowdown
             acquire(draw, now)
             try:
                 duration = p.t_process * slowdown * noise()
                 yield duration
             finally:
-                now = env.now
+                now = env._now
                 release(draw, now)
-            self.metrics.record_task(_PROCESS, duration, now)
+            collector = self.metrics
+            if now >= collector.warmup:
+                collector.task_stats[_PROCESS].add(duration)
             if tracing:
                 stamps["process"] = now - t0
 
@@ -274,22 +288,25 @@ class IdentificationEngine:
             pool = pools["simsearch"]
             claim = pool.request()
             yield claim
-            now = env.now
-            metrics.record_task(_WAIT_SIMSEARCH, now - t0, now)
+            now = env._now
+            if now >= metrics.warmup:
+                metrics.task_stats[_WAIT_SIMSEARCH].add(now - t0)
             if tracing:
                 stamps["wait-simsearch"] = now - t0
             try:
                 t0 = now
-                slowdown = inflation()
+                slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
                 draw = p.w_simsearch / slowdown
                 acquire(draw, now)
                 try:
                     duration = p.t_simsearch * slowdown * noise()
                     yield duration
                 finally:
-                    now = env.now
+                    now = env._now
                     release(draw, now)
-                self.metrics.record_task(_SIMSEARCH, duration, now)
+                collector = self.metrics
+                if now >= collector.warmup:
+                    collector.task_stats[_SIMSEARCH].add(duration)
                 if tracing:
                     stamps["simsearch"] = now - t0
             finally:
@@ -297,16 +314,18 @@ class IdentificationEngine:
 
             # post-process
             t0 = now
-            slowdown = inflation()
+            slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
             draw = p.w_http_misc / slowdown
             acquire(draw, now)
             try:
                 duration = p.t_postprocess * slowdown * noise()
                 yield duration
             finally:
-                now = env.now
+                now = env._now
                 release(draw, now)
-            self.metrics.record_task(_POST_PROCESS, duration, now)
+            collector = self.metrics
+            if now >= collector.warmup:
+                collector.task_stats[_POST_PROCESS].add(duration)
             if tracing:
                 stamps["post-process"] = now - t0
         finally:

@@ -184,10 +184,6 @@ class MetricsCollector:
 
     # -- raw observations -------------------------------------------------------
 
-    def record_task(self, task: TaskType, duration: float, now: float) -> None:
-        if now >= self.warmup:
-            self.task_stats[task].add(duration)
-
     def record_response(self, response_time: float, now: float) -> None:
         if now >= self.warmup:
             self.response_stats.add(response_time)

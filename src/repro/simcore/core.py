@@ -9,13 +9,14 @@ from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError, WallClockTimeout
 from repro.simcore.events import NORMAL, Event, Process, SlimDelay, Timeout
+from repro.simcore.resources import Request
 
 __all__ = ["Environment", "LoopStats", "StopSimulation", "EmptySchedule"]
 
 #: upper bound on recycled SlimDelay instances kept per environment — the
 #: pool only needs to cover the peak number of *concurrently pending* plain
-#: delays, which the cap keeps from growing without bound on pathological
-#: workloads.
+#: delays and process starts, which the cap keeps from growing without bound
+#: on pathological workloads.
 _SLIM_POOL_MAX = 4096
 
 _INF = float("inf")
@@ -93,7 +94,7 @@ class Environment:
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._stats: Optional[LoopStats] = None
-        #: recycled SlimDelay instances (the plain-delay fast lane).
+        #: recycled SlimDelay carriers (plain delays and process starts).
         self._slim_pool: list[SlimDelay] = []
 
     @property
@@ -127,32 +128,37 @@ class Environment:
         self._eid += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
-    def _schedule_resume(self, process: Process, delay: float) -> SlimDelay:
-        """Fast lane: resume ``process`` after a plain ``delay``.
+    def _schedule_resume(
+        self, process: Process, delay: float, priority: int = NORMAL
+    ) -> SlimDelay:
+        """Resume ``process`` after a plain ``delay`` through a pooled carrier.
 
         Used when a process yields a raw number instead of a
-        :class:`~repro.simcore.events.Timeout`. The carrier event comes from
-        a recycle pool and holds the process directly — no Event allocation
-        and no callback list per wait.
+        :class:`~repro.simcore.events.Timeout`, and (``delay=0``, URGENT)
+        for a new process's first resume. The carrier comes from a recycle
+        pool and holds the process directly — no Event allocation and no
+        callback list per wait.
         """
         if not (0 <= delay < _INF):
             raise ValueError(f"delay must be finite and >= 0, got {delay}")
         pool = self._slim_pool
-        if pool:
-            event = pool.pop()
-        else:
-            event = SlimDelay.__new__(SlimDelay)
-            event.env = self
-            # The callbacks list stays empty forever: the run loop resumes
-            # the carried process directly. It exists (non-None) so generic
-            # "is this still pending" checks keep working.
-            event.callbacks = []
-            event._value = None
-            event._ok = True
-            event._defused = False
+        event = pool.pop() if pool else self._new_slim()
         event.process = process
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, NORMAL, self._eid, event))
+        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        return event
+
+    def _new_slim(self) -> SlimDelay:
+        """A fresh carrier for the recycle pool (used when the pool is empty)."""
+        event = SlimDelay.__new__(SlimDelay)
+        event.env = self
+        # The callbacks list stays empty forever: the run loop resumes the
+        # carried process directly. It exists (non-None) so generic "is
+        # this still pending" checks keep working.
+        event.callbacks = []
+        event._value = None
+        event._ok = True
+        event._defused = False
         return event
 
     def peek(self) -> float:
@@ -202,22 +208,7 @@ class Environment:
             if depth > stats.max_queue_depth:
                 stats.max_queue_depth = depth
 
-        if type(event) is SlimDelay:
-            # Fast-lane delay: resume the carried process directly (no
-            # callbacks; ``process is None`` means an interrupt cancelled
-            # the wait), then return the instance to the recycle pool.
-            self._resume_slim(event)
-            return
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:  # pragma: no cover - defensive
-            raise SimulationError(f"event {event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+        self._dispatch(event)
 
     def _run_loop(
         self, wall_deadline: float | None, wall_timeout_s: float | None
@@ -225,10 +216,11 @@ class Environment:
         """Drain the heap until empty or :class:`StopSimulation`.
 
         Hot attributes (heap, pop, slim pool) are aliased to locals so the
-        dominant pop→callback→recycle cycle does no repeated attribute
-        lookups. When neither stats nor a wall deadline is active, the
-        per-event bookkeeping disappears entirely; otherwise stats are
-        accumulated in locals and flushed once after the loop.
+        dominant pop→pump→recycle cycle does no repeated attribute lookups.
+        When neither stats nor a wall deadline is active, the per-event
+        bookkeeping disappears entirely and the carrier pump is inlined;
+        otherwise stats are accumulated in locals and flushed once after
+        the loop, and each event goes through :meth:`_dispatch`.
         """
         queue = self._queue
         pop = heapq.heappop
@@ -236,62 +228,89 @@ class Environment:
         slim_pool = self._slim_pool
         stats = self._stats
         slim = SlimDelay
+        request = Request
 
         if stats is None and wall_deadline is None:
             while queue:
                 self._now, _, _, event = pop(queue)
-                if type(event) is slim:
-                    # Fast lane: pump the carried process's generator in
-                    # place. A consecutive plain-delay yield re-arms this
-                    # very event — zero allocation, zero pool traffic.
+                kind = type(event)
+                if kind is slim:
                     process = event.process
                     if process is None:  # interrupted wait
                         if len(slim_pool) < _SLIM_POOL_MAX:
                             slim_pool.append(event)
                         continue
-                    self._active_process = process
-                    generator = process._generator
-                    rearmed = False
-                    try:
-                        next_event = generator.send(None)
-                    except StopIteration as stop:
-                        process._generator = None  # type: ignore[assignment]
-                        process.succeed(stop.value)
-                    except BaseException as exc:  # noqa: BLE001 - via event
-                        process._generator = None  # type: ignore[assignment]
-                        process.fail(exc)
+                    callbacks = None
+                elif kind is request and event.process is not None:
+                    # A carried claim: the process runs first, then any
+                    # callbacks added after it subscribed.
+                    process = event.process
+                    event.process = None
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                else:
+                    callbacks = event.callbacks
+                    if callbacks is None:  # pragma: no cover - defensive
+                        raise SimulationError(f"event {event!r} processed twice")
+                    event.callbacks = None
+                    for callback in callbacks:
+                        callback(event)
+                    if not event._ok and not event._defused:
+                        exc = event._value
+                        raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+                    continue
+
+                # The carrier pump: resume the carried process's generator
+                # in place. A plain-delay yield re-arms a popped SlimDelay
+                # (zero allocation) or takes one from the pool.
+                self._active_process = process
+                generator = process._generator
+                carrier = None
+                try:
+                    if event._ok:
+                        next_event = generator.send(event._value)
                     else:
-                        kind = type(next_event)
-                        if kind is float or kind is int:
-                            if not (0 <= next_event < _INF):
-                                self._active_process = None
-                                raise ValueError(
-                                    f"delay must be finite and >= 0, got {next_event}"
-                                )
-                            self._eid += 1
-                            push(queue, (self._now + next_event, NORMAL, self._eid, event))
-                            process._target = event
-                            rearmed = True
-                        elif not process._wait(next_event):
-                            # Already-processed event: continue the pump
-                            # through the general resume path.
-                            process._resume(next_event)
-                    self._active_process = None
-                    if not rearmed:
+                        event._defused = True
+                        next_event = generator.throw(event._value)
+                except StopIteration as stop:
+                    process._generator = None  # type: ignore[assignment]
+                    process.succeed(stop.value)
+                except BaseException as exc:  # noqa: BLE001 - via event
+                    process._generator = None  # type: ignore[assignment]
+                    process.fail(exc)
+                else:
+                    after = type(next_event)
+                    if after is float or after is int:
+                        if not (0 <= next_event < _INF):
+                            self._active_process = None
+                            raise ValueError(
+                                f"delay must be finite and >= 0, got {next_event}"
+                            )
+                        if kind is slim:
+                            carrier = event
+                        else:
+                            carrier = slim_pool.pop() if slim_pool else self._new_slim()
+                            carrier.process = process
+                        self._eid += 1
+                        push(queue, (self._now + next_event, NORMAL, self._eid, carrier))
+                        process._target = carrier
+                    elif not process._wait(next_event):
+                        # Already-processed event: continue the pump
+                        # through the general resume path.
+                        process._resume(next_event)
+                self._active_process = None
+                if kind is slim:
+                    if carrier is not event:
                         event.process = None
                         if len(slim_pool) < _SLIM_POOL_MAX:
                             slim_pool.append(event)
-                    continue
-
-                callbacks = event.callbacks
-                if callbacks is None:  # pragma: no cover - defensive
-                    raise SimulationError(f"event {event!r} processed twice")
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+                elif callbacks:
+                    for callback in callbacks:
+                        callback(event)
+                # An explicit back edge: CPython 3.11 counts a loop as warm,
+                # and specializes its bytecode, only at a JUMP_BACKWARD; the
+                # `while` test's own jump at the end of the body does not.
+                continue
             return
 
         events_processed = 0
@@ -299,6 +318,7 @@ class Environment:
         first_time: Optional[float] = None
         last_time = 0.0
         perf_counter = time.perf_counter
+        dispatch = self._dispatch
         try:
             while queue:
                 depth = len(queue)
@@ -309,27 +329,13 @@ class Environment:
                 last_time = self._now
                 if depth > max_depth:
                     max_depth = depth
-                if type(event) is slim:
-                    self._resume_slim(event)
-                else:
-                    callbacks = event.callbacks
-                    if callbacks is None:  # pragma: no cover - defensive
-                        raise SimulationError(f"event {event!r} processed twice")
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise (
-                            exc
-                            if isinstance(exc, BaseException)
-                            else SimulationError(repr(exc))
-                        )
+                dispatch(event)
                 if wall_deadline is not None and perf_counter() > wall_deadline:
                     raise WallClockTimeout(
                         f"simulation exceeded its wall-clock budget of "
                         f"{wall_timeout_s}s (sim time {self._now})"
                     )
+                continue  # the explicit back edge, as in the loop above
         finally:
             if stats is not None and events_processed:
                 stats.events_processed += events_processed
@@ -339,14 +345,37 @@ class Environment:
                 if max_depth > stats.max_queue_depth:
                     stats.max_queue_depth = max_depth
 
-    def _resume_slim(self, event: SlimDelay) -> None:
-        """Resume a popped fast-lane delay (instrumented/step path)."""
-        process = event.process
-        if process is not None:
+    def _dispatch(self, event: Event) -> None:
+        """Process one popped event (the stats loop and :meth:`step`).
+
+        The protocol of the uninstrumented loop's inlined pump: a SlimDelay
+        resumes its process, or is a cancelled wait, and goes back to the
+        pool; a carried claim resumes its process first and then runs any
+        callbacks added after the process subscribed; any other event runs
+        its callbacks.
+        """
+        kind = type(event)
+        if kind is SlimDelay:
+            process = event.process
+            if process is not None:
+                event.process = None
+                process._resume(event)
+            if len(self._slim_pool) < _SLIM_POOL_MAX:
+                self._slim_pool.append(event)
+            return
+        callbacks = event.callbacks
+        if callbacks is None:  # pragma: no cover - defensive
+            raise SimulationError(f"event {event!r} processed twice")
+        event.callbacks = None
+        if kind is Request and event.process is not None:
+            process = event.process
+            event.process = None
             process._resume(event)
-        event.process = None
-        if len(self._slim_pool) < _SLIM_POOL_MAX:
-            self._slim_pool.append(event)
+        for callback in callbacks:
+            callback(event)
+        if not event._ok and not event._defused:
+            exc = event._value
+            raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
 
     # -- factories ----------------------------------------------------------
 

@@ -158,20 +158,33 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay}>"
 
 
-class SlimDelay(Event):
-    """A pooled plain-delay event, internal to the fast lane.
+class Carrier(Event):
+    """An event that wakes at most one process without a callback.
 
-    Created only by :meth:`Environment._schedule_resume` when a process
-    yields a raw number instead of a :class:`Timeout`. It bypasses the
-    callback protocol entirely: it carries its :attr:`process` directly and
-    the run loop pumps that process's generator in place, re-arming the
-    same instance for consecutive plain delays. Never exposed to user code
-    (the resumed generator receives ``None``), which is what makes the
-    recycling safe. ``process`` is set to ``None`` when an interrupt
-    cancels the wait; the run loop then simply discards the pop.
+    The waiting process sits in the :attr:`process` slot instead of the
+    callback list, and the run loop pumps its generator in place when the
+    event is popped. A carrier keeps the heap key it would have as a plain
+    event, so carrying changes no event order. ``process`` is ``None`` when
+    nothing is carried, or when an interrupt cancelled the wait.
     """
 
     __slots__ = ("process",)
+
+
+class SlimDelay(Carrier):
+    """A pooled carrier for plain delays and process starts.
+
+    Created only by :meth:`Environment._schedule_resume`: when a process
+    yields a raw number instead of a :class:`Timeout` (pushed NORMAL at
+    ``now + delay``), and when a :class:`Process` is created (pushed
+    URGENT at ``now``, the key a first-resume event always had). The run
+    loop re-arms the same instance for consecutive plain delays and
+    returns it to a recycle pool otherwise. Never exposed to user code
+    (the resumed generator receives ``None``), which is what makes the
+    recycling safe. Its callback list stays empty forever.
+    """
+
+    __slots__ = ()
 
 
 class Interrupt(Exception):
@@ -180,19 +193,6 @@ class Interrupt(Exception):
     @property
     def cause(self) -> Any:
         return self.args[0] if self.args else None
-
-
-class _Initialize(Event):
-    """Internal: first resume of a freshly created process."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self._ok = True
-        self._value = None
-        self.callbacks.append(process._resume)
-        env.schedule(self, priority=URGENT)
 
 
 class _Interruption(Event):
@@ -214,9 +214,9 @@ class _Interruption(Event):
         # interrupt takes over the resumption.
         target = process._target
         if target is not None and target.callbacks is not None:
-            if type(target) is SlimDelay:
-                # Fast-lane waits carry the process directly; clearing it
-                # cancels the pending resume without touching the heap.
+            if isinstance(target, Carrier) and target.process is process:
+                # A carrier holds the process directly; clearing it cancels
+                # the pending resume without touching the heap.
                 target.process = None
             else:
                 try:
@@ -245,11 +245,21 @@ class Process(Event):
     ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process() needs a generator, got {generator!r}")
-        super().__init__(env)
+        # Inlined Event.__init__: open-loop sources start one process per
+        # simulated request.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
+        #: the event this process waits on; ``None`` until its first resume,
+        #: so an interrupt before then does not cancel the start.
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        _Initialize(env, self)
+        # The first resume rides a pooled carrier under the (now, URGENT,
+        # eid) key, ahead of same-instant NORMAL events.
+        env._schedule_resume(self, 0.0, URGENT)
 
     @property
     def is_alive(self) -> bool:
@@ -283,9 +293,9 @@ class Process(Event):
 
             kind = type(next_event)
             if kind is float or kind is int:
-                # Fast lane: a raw number is a plain delay. The environment
-                # schedules the resume through a pooled SlimDelay, avoiding
-                # a fresh Event (and callback list) per simulated wait.
+                # A raw number is a plain delay. The environment schedules
+                # the resume through a pooled SlimDelay, avoiding a fresh
+                # Event (and callback list) per simulated wait.
                 self._target = self.env._schedule_resume(self, next_event)
                 break
             if self._wait(next_event):
@@ -299,7 +309,10 @@ class Process(Event):
 
         Returns True when the process is now waiting on ``next_event``,
         False when that event was already processed (the caller continues
-        the pump with its outcome immediately).
+        the pump with its outcome immediately). A :class:`Carrier` with no
+        callbacks and no carried process takes this process into its slot;
+        otherwise the process joins the callback list. Either way it runs
+        before any callback added later, as the first list entry would.
         """
         if not isinstance(next_event, Event):
             self.env._active_process = None
@@ -312,11 +325,15 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded an event from another environment"
             )
-        if next_event.callbacks is not None:
-            next_event.callbacks.append(self._resume)
-            self._target = next_event
-            return True
-        return False
+        callbacks = next_event.callbacks
+        if callbacks is None:
+            return False
+        if not callbacks and isinstance(next_event, Carrier) and next_event.process is None:
+            next_event.process = self
+        else:
+            callbacks.append(self._resume)
+        self._target = next_event
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Process {self.name!r} {'done' if self.triggered else 'alive'}>"

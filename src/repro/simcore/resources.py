@@ -17,7 +17,8 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Any
 
-from repro.simcore.events import PENDING, URGENT, Event
+from repro.errors import SimulationError
+from repro.simcore.events import PENDING, URGENT, Carrier, Event
 from repro.utils.stats import RunningStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,11 +73,13 @@ class ResourceStats:
         return self.queue_integral / elapsed
 
 
-class Request(Event):
+class Request(Carrier):
     """A pending or granted claim on a :class:`Resource`.
 
     Usable as a context manager: the claim is released (or cancelled, if
-    never granted) on exit.
+    never granted) on exit. A claim is a carrier: the first process that
+    yields it waits in its ``process`` slot, and the run loop resumes that
+    process in place when the grant is popped.
     """
 
     __slots__ = ("resource", "priority", "submit_time")
@@ -90,6 +93,7 @@ class Request(Event):
         self._value = PENDING
         self._ok = True
         self._defused = False
+        self.process = None
         self.resource = resource
         self.priority = priority
         self.submit_time = env._now
@@ -150,26 +154,59 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Return a granted claim, or cancel a still-queued one."""
-        self.stats.advance(self.env._now, len(self.users), len(self._queue))
+        if request.resource is not self:
+            raise SimulationError(
+                f"cannot release a claim on {request.resource.name!r} "
+                f"through {self.name!r}"
+            )
+        # ResourceStats.advance, inlined (twice per claim on the hot path).
+        stats = self.stats
+        users = self.users
+        now = self.env._now
+        dt = now - stats.last_change
+        if dt > 0:
+            stats.busy_integral += len(users) * dt
+            stats.queue_integral += len(self._queue) * dt
+            stats.last_change = now
         try:
-            self.users.remove(request)
+            users.remove(request)
         except ValueError:
             # Never granted: cancel from the queue (context-manager exit
             # after an interrupt while waiting).
             self._queue_remove(request)
         else:
-            self.stats.releases += 1
+            stats.releases += 1
             if self._queue:
                 self._grant_pending()
 
     def _claim(self, request: Request) -> None:
-        """Queue a new claim and grant it at once if a unit is free."""
-        # Integrate over the state *before* the claim joins the queue, so a
-        # new request does not count as waiting over the interval since the
-        # pool last changed.
-        self.stats.advance(self.env._now, len(self.users), len(self._queue))
-        self._enqueue(request)
-        self._grant_pending()
+        """Grant a new claim at once if a unit is free, else queue it.
+
+        The statistics integrate over the state *before* the claim joins,
+        so a new request does not count as waiting over the interval since
+        the pool last changed. An uncontended claim is granted in place,
+        pushing the ``(now, URGENT, eid)`` heap key a queued grant gets.
+        """
+        env = self.env
+        now = env._now
+        stats = self.stats
+        users = self.users
+        queue = self._queue
+        dt = now - stats.last_change
+        if dt > 0:
+            stats.busy_integral += len(users) * dt
+            stats.queue_integral += len(queue) * dt
+            stats.last_change = now
+        if queue or len(users) >= self.capacity:
+            self._enqueue(request)
+            self._grant_pending()
+            return
+        users.append(request)
+        stats.grants += 1
+        stats.wait_times.add(0.0)
+        request._value = None
+        env._eid += 1
+        heapq.heappush(env._queue, (now, URGENT, env._eid, request))
 
     def _grant_pending(self) -> None:
         """Grant queued claims while capacity is free.

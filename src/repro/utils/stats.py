@@ -16,6 +16,8 @@ import numpy as np
 
 __all__ = ["RunningStats", "Summary", "mean_std", "confidence_interval"]
 
+_INF = math.inf
+
 
 class RunningStats:
     """Welford online mean/variance accumulator.
@@ -36,9 +38,9 @@ class RunningStats:
         self.maximum = -math.inf
 
     def add(self, value: float, weight: float = 1.0) -> None:
-        """Accumulate one observation with optional ``weight`` > 0."""
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
+        """Accumulate one observation with optional finite ``weight`` > 0."""
+        if not 0.0 < weight < _INF:  # also rejects NaN, which fails both
+            raise ValueError(f"weight must be finite and positive, got {weight}")
         if type(value) is not float:
             value = float(value)
         self.count += 1

@@ -19,11 +19,14 @@ import hashlib
 import pprint
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     BASELINE_CONFIG,
     ArrivalSchedule,
     IdentificationEngine,
+    ThreadPoolConfig,
     WorkloadSpec,
     simulate_hybrid,
 )
@@ -118,12 +121,27 @@ def run_engine(case: str, *, timeouts: bool = False, stats: bool = False) -> dic
     mode, _, config_name = case.partition(":")
     trace = mode == "traced"
     workload = WORKLOADS["closed" if trace else mode]
-    engine = IdentificationEngine(
+    return run_workload(
         CONFIGS[config_name or "baseline"],
         WorkloadSpec(**workload),
         seed=SEED,
         trace=trace,
+        timeouts=timeouts,
+        stats=stats,
     )
+
+
+def run_workload(
+    config: ThreadPoolConfig,
+    workload: WorkloadSpec,
+    *,
+    seed: int,
+    trace: bool = False,
+    timeouts: bool = False,
+    stats: bool = False,
+) -> dict:
+    """Fingerprint of one engine run (see :func:`run_engine` for the flags)."""
+    engine = IdentificationEngine(config, workload, seed=seed, trace=trace)
     if timeouts:
         env = engine.env
         process = env.process
@@ -512,6 +530,44 @@ def test_uninstrumented_loop_matches_golden(case):
 def test_event_lane_matches_golden(case):
     """Timeout events and raw-number delays give the same run, event for event."""
     assert run_engine(case, timeouts=True, stats=True) == GOLDEN[case]
+
+
+def _random_workload(mode: str, load: int) -> WorkloadSpec:
+    """A short workload of ``mode`` whose size scales with ``load``."""
+    span = dict(duration=40.0, warmup=5.0)
+    if mode == "closed":
+        return WorkloadSpec(simultaneous_requests=load, **span)
+    if mode == "open":
+        return WorkloadSpec(arrival_rate=load / 2.0, **span)
+    if mode == "population":
+        schedule = ((0.0, load), (12.0, max(1, load // 3)), (25.0, load))
+        return WorkloadSpec(simultaneous_requests=load, population_schedule=schedule, **span)
+    schedule = ArrivalSchedule.diurnal(load / 8.0, load / 2.0, period=40.0, steps=4)
+    return WorkloadSpec(arrival_schedule=schedule, **span)
+
+
+@given(
+    pools=st.tuples(
+        st.integers(1, 30), st.integers(1, 6), st.integers(1, 9), st.integers(1, 30)
+    ),
+    mode=st.sampled_from(["closed", "open", "population", "diurnal"]),
+    load=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=12, deadline=None)
+def test_loops_and_lanes_agree_on_random_runs(pools, mode, load, seed):
+    """Uninstrumented loop, stats loop and Timeout lane: one run, event for event.
+
+    Small random pools make claims queue, so queued and in-place grants,
+    carried claims and process starts all mix with plain delays.
+    """
+    config = ThreadPoolConfig(*pools)
+    workload = _random_workload(mode, load)
+    stats = run_workload(config, workload, seed=seed, stats=True)
+    lane = run_workload(config, workload, seed=seed, stats=True, timeouts=True)
+    plain = run_workload(config, workload, seed=seed)
+    assert lane == stats
+    assert plain == {k: v for k, v in stats.items() if k != "events"}
 
 
 def test_hybrid_matches_golden():

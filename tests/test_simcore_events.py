@@ -292,6 +292,146 @@ class TestInterrupts:
         assert p.value == 7.0
 
 
+class TestProcessStart:
+    """A new process's first resume rides a pooled carrier at (now, URGENT).
+
+    The expected logs were captured from the dedicated start-event
+    implementation the carrier replaced; both run loops must reproduce
+    them, event count included.
+    """
+
+    @pytest.mark.parametrize("instrumented", [False, True], ids=["fast-loop", "stats-loop"])
+    def test_interrupt_before_first_resume(self, instrumented):
+        env = simcore.Environment()
+        if instrumented:
+            env.enable_stats()
+        log = []
+
+        def victim():
+            log.append(("start", env.now))
+            try:
+                yield env.event()
+                log.append(("woke", env.now))
+            except simcore.Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause, env.now))
+            yield 1.0
+            log.append(("done", env.now))
+            return "ok"
+
+        target = env.process(victim())
+        target.interrupt("early")  # before the start is popped
+        env.run()
+        # the start still runs first; the interrupt lands on the first wait
+        assert log == [("start", 0.0), ("interrupted", "early", 0.0), ("done", 1.0)]
+        assert (env.now, target.value) == (1.0, "ok")
+
+    @pytest.mark.parametrize("instrumented", [False, True], ids=["fast-loop", "stats-loop"])
+    def test_interrupt_from_the_spawning_process(self, instrumented):
+        env = simcore.Environment()
+        if instrumented:
+            env.enable_stats()
+        log = []
+
+        def victim():
+            log.append(("start", env.now))
+            try:
+                yield env.event()
+            except simcore.Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause, env.now))
+            yield 1.0
+            log.append(("done", env.now))
+
+        def spawner():
+            target = env.process(victim())
+            log.append(("spawned", env.now, target.is_alive))
+            target.interrupt("early")
+            yield 0.5
+            log.append(("spawner-done", env.now))
+
+        env.process(spawner())
+        env.run()
+        assert log == [
+            ("spawned", 0.0, True),
+            ("start", 0.0),
+            ("interrupted", "early", 0.0),
+            ("spawner-done", 0.5),
+            ("done", 1.0),
+        ]
+
+    def test_start_orders_against_same_instant_urgent_grants(self):
+        env = simcore.Environment()
+        pool = simcore.Resource(env, capacity=1)
+        other = simcore.Resource(env, capacity=1)
+        log = []
+
+        def holder():
+            req = pool.request()
+            yield req
+            yield 1.0
+            pool.release(req)  # queued grant to the waiter: URGENT push
+            env.process(child("c1"))  # process start: URGENT push
+            claim = other.request()  # in-place grant: URGENT push
+            env.process(child("c2"))
+            got = yield claim
+            log.append(("holder-claim", env.now, got))
+            other.release(claim)
+
+        def waiter():
+            req = pool.request()
+            yield req
+            log.append(("waiter", env.now))
+            pool.release(req)
+
+        def child(tag):
+            log.append((tag, env.now))
+            yield 0
+            log.append((tag + "-after-zero", env.now))
+
+        def normal():
+            yield 1.0
+            log.append(("normal", env.now))
+
+        env.process(holder())
+        env.process(waiter())
+        env.process(normal())
+        stats = env.enable_stats()
+        env.run()
+        assert log == [
+            ("normal", 1.0),
+            ("waiter", 1.0),
+            ("c1", 1.0),
+            ("holder-claim", 1.0, None),
+            ("c2", 1.0),
+            ("c1-after-zero", 1.0),
+            ("c2-after-zero", 1.0),
+        ]
+        assert stats.events_processed == 17
+
+    def test_step_runs_a_start_and_a_carried_claim(self):
+        env = simcore.Environment()
+        pool = simcore.Resource(env, capacity=1)
+        log = []
+
+        def proc():
+            req = pool.request()
+            got = yield req
+            log.append(("granted", env.now, got))
+            yield 2.0
+            pool.release(req)
+            log.append(("released", env.now))
+
+        env.process(proc())
+        env.step()  # the start: the process claims and waits in the grant
+        assert log == []
+        env.step()  # the grant resumes the carried process in place
+        assert log == [("granted", 0.0, None)]
+        env.step()
+        assert log[-1] == ("released", 2.0)
+        env.step()  # the process's own completion event
+        with pytest.raises(simcore.core.EmptySchedule):
+            env.step()
+
+
 class TestConditions:
     def test_all_of(self):
         env = simcore.Environment()

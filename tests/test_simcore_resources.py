@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import simcore
+from repro.errors import SimulationError
 
 
 def _worker(env, pool, hold, log=None):
@@ -265,3 +266,267 @@ class TestContainer:
             tank.put(0)
         with pytest.raises(ValueError):
             tank.get(-1)
+
+
+@pytest.fixture(params=[False, True], ids=["fast-loop", "stats-loop"])
+def make_env(request):
+    """An environment running the uninstrumented loop or the stats loop."""
+
+    def make():
+        env = simcore.Environment()
+        if request.param:
+            env.enable_stats()
+        return env
+
+    return make
+
+
+class TestCarriedClaims:
+    """A granted claim resumes the process that yielded it without a callback.
+
+    The expected logs were captured from the callback-list implementation
+    the carrier protocol replaced; both run loops must reproduce them.
+    """
+
+    def test_interrupt_while_in_place_grant_is_on_heap(self, make_env):
+        env = make_env()
+        pool = simcore.Resource(env, capacity=1)
+        log = []
+
+        def victim():
+            req = pool.request()
+            try:
+                yield req
+                log.append(("granted", env.now))
+            except simcore.Interrupt as interrupt:
+                log.append(
+                    ("interrupted", interrupt.cause, env.now, req.triggered, req.processed,
+                     len(pool.users))
+                )
+                pool.release(req)
+            yield 1.0
+            log.append(("victim-done", env.now, len(pool.users), pool.stats.grants,
+                        pool.stats.releases))
+
+        def killer(target):
+            log.append(("killer", env.now, len(pool.users)))
+            target.interrupt("now")
+            yield 0
+            log.append(("killer-after", env.now))
+
+        target = env.process(victim())
+        env.process(killer(target))
+        env.run()
+        assert log == [
+            ("killer", 0.0, 1),
+            ("interrupted", "now", 0.0, True, True, 1),
+            ("killer-after", 0.0),
+            ("victim-done", 1.0, 0, 1, 1),
+        ]
+        assert env.now == 1.0
+
+    def test_interrupt_while_queued_grant_is_on_heap(self, make_env):
+        env = make_env()
+        pool = simcore.Resource(env, capacity=1)
+        log = []
+        victims = []
+
+        def holder():
+            req = pool.request()
+            yield req
+            yield 2.0
+            pool.release(req)  # grants the victim's claim: an URGENT push
+            log.append(("released", env.now, len(pool.users), pool.queue_length))
+            victims[0].interrupt("grant-in-flight")
+
+        def victim():
+            req = pool.request()
+            try:
+                yield req
+                log.append(("granted", env.now))
+            except simcore.Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause, env.now, req.triggered, req.processed))
+            finally:
+                pool.release(req)
+            log.append(("after", env.now, len(pool.users), pool.queue_length))
+            other = pool.request()
+            yield other
+            log.append(("other", env.now))
+            pool.release(other)
+
+        env.process(holder())
+        victims.append(env.process(victim()))
+        env.run()
+        assert log == [
+            ("released", 2.0, 1, 0),
+            ("interrupted", "grant-in-flight", 2.0, True, True),
+            ("after", 2.0, 0, 0),
+            ("other", 2.0),
+        ]
+        stats = pool.stats
+        assert (env.now, stats.grants, stats.releases) == (2.0, 3, 3)
+        assert (stats.busy_integral, stats.queue_integral) == (2.0, 2.0)
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["free", "queued"])
+    def test_yielding_a_claim_a_condition_already_observes(self, make_env, queued):
+        env = make_env()
+        pool = simcore.Resource(env, capacity=1)
+        log = []
+        shared = {}
+
+        def blocker():
+            req = pool.request()
+            yield req
+            yield 1.5
+            pool.release(req)
+
+        def owner():
+            req = pool.request()
+            shared["cond"] = simcore.any_of(env, [req, env.timeout(3.0)])
+            got = yield req
+            log.append(("owner", env.now, got, shared["cond"].triggered))
+            yield 0.5
+            pool.release(req)
+            log.append(("owner-released", env.now))
+
+        def watcher():
+            yield 0
+            got = yield shared["cond"]
+            log.append(("watcher", env.now, sorted(type(key).__name__ for key in got)))
+
+        if queued:
+            env.process(blocker())
+        env.process(owner())
+        env.process(watcher())
+        env.run()
+        t = 1.5 if queued else 0.0
+        assert log == [
+            ("owner", t, None, True),
+            ("watcher", t, ["Request"]),
+            ("owner-released", t + 0.5),
+        ]
+        assert env.now == 3.0
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["free", "queued"])
+    def test_two_processes_yield_the_same_claim(self, make_env, queued):
+        env = make_env()
+        pool = simcore.Resource(env, capacity=1)
+        log = []
+        shared = {}
+
+        def blocker():
+            req = pool.request()
+            yield req
+            yield 1.0
+            pool.release(req)
+
+        def first():
+            req = shared["req"] = pool.request()
+            got = yield req
+            log.append(("first", env.now, got))
+            yield 0.25
+            log.append(("first-again", env.now))
+            pool.release(req)
+
+        def second():
+            got = yield shared["req"]
+            log.append(("second", env.now, got, len(pool.users)))
+            got = yield shared["req"]  # already processed: continues at once
+            log.append(("second-again", env.now, got))
+
+        if queued:
+            env.process(blocker())
+        env.process(first())
+        env.process(second())
+        env.run()
+        t = 1.0 if queued else 0.0
+        assert log == [
+            ("first", t, None),
+            ("second", t, None, 1),
+            ("second-again", t, None),
+            ("first-again", t + 0.25),
+        ]
+
+    def test_in_place_grants_on_a_priority_resource(self, make_env):
+        env = make_env()
+        pool = simcore.PriorityResource(env, capacity=2)
+        log = []
+
+        def job(tag, priority, delay, hold):
+            yield delay
+            req = pool.request(priority=priority)
+            log.append(("req", tag, env.now, req.triggered, pool.queue_length))
+            yield req
+            log.append(("got", tag, env.now))
+            yield hold
+            pool.release(req)
+            log.append(("rel", tag, env.now))
+
+        spec = [
+            ("a", 5, 0, 2.0), ("b", 5, 0, 3.0), ("c", 3, 0.5, 1.0), ("d", 1, 0.5, 1.0),
+            ("e", 2, 1.0, 0.5), ("f", 0, 2.0, 0.5), ("g", 0, 6.0, 0.5), ("h", 9, 6.0, 0.5),
+        ]
+        for tag, priority, delay, hold in spec:
+            env.process(job(tag, priority, delay, hold))
+        env.run()
+        assert log == [
+            ("req", "a", 0.0, True, 0), ("got", "a", 0.0),
+            ("req", "b", 0.0, True, 0), ("got", "b", 0.0),
+            ("req", "c", 0.5, False, 1), ("req", "d", 0.5, False, 2),
+            ("req", "e", 1.0, False, 3), ("req", "f", 2.0, False, 4),
+            ("rel", "a", 2.0), ("got", "f", 2.0),
+            ("rel", "f", 2.5), ("got", "d", 2.5),
+            ("rel", "b", 3.0), ("got", "e", 3.0),
+            ("rel", "d", 3.5), ("got", "c", 3.5),
+            ("rel", "e", 3.5), ("rel", "c", 4.5),
+            ("req", "g", 6.0, True, 0), ("got", "g", 6.0),
+            ("req", "h", 6.0, True, 0), ("got", "h", 6.0),
+            ("rel", "g", 6.5), ("rel", "h", 6.5),
+        ]
+        stats = pool.stats
+        waits = stats.wait_times
+        assert (env.now, stats.grants, stats.releases) == (6.5, 8, 8)
+        assert (waits.count, waits.mean, waits.maximum) == (8, 0.875, 3.0)
+        assert (stats.busy_integral, stats.queue_integral) == (9.0, 7.0)
+
+
+class TestRelease:
+    def test_release_through_another_resource_raises(self):
+        env = simcore.Environment()
+        a = simcore.Resource(env, capacity=1, name="a")
+        b = simcore.Resource(env, capacity=1, name="b")
+        req = a.request()
+        with pytest.raises(SimulationError, match="'a'.*'b'"):
+            b.release(req)
+        assert a.users == [req]
+        assert b.stats.releases == 0
+        a.release(req)
+        assert a.users == []
+
+    def test_cancel_and_interrupted_exit_still_work(self):
+        env = simcore.Environment()
+        pool = simcore.Resource(env, capacity=1)
+        log = []
+
+        def holder():
+            with pool.request() as req:
+                yield req
+                yield 5.0
+
+        def waiter():
+            try:
+                with pool.request() as req:
+                    yield req
+                    log.append("granted")
+            except simcore.Interrupt:
+                log.append(("interrupted", env.now, pool.queue_length))
+
+        def killer(target):
+            yield 1.0
+            target.interrupt()
+
+        env.process(holder())
+        env.process(killer(env.process(waiter())))
+        env.run()
+        assert log == [("interrupted", 1.0, 0)]
+        assert pool.users == [] and pool.queue_length == 0

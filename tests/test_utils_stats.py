@@ -46,6 +46,16 @@ class TestRunningStats:
         with pytest.raises(ValueError):
             stats.add(1.0, weight=0.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_rejects_non_finite_weight(self, weight):
+        """A NaN weight fails ``weight <= 0`` too; it must not poison the mean."""
+        stats = RunningStats()
+        with pytest.raises(ValueError):
+            stats.add(1.0, weight=weight)
+        stats.add(2.0)
+        assert stats.count == 1
+        assert stats.mean == 2.0
+
     @given(st.lists(finite_floats, min_size=1, max_size=60), st.lists(finite_floats, min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
     def test_merge_equals_pooled(self, a, b):
