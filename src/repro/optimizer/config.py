@@ -133,6 +133,8 @@ class OptimizerConf:
             raise ValidationError("num_samples must be >= 1")
         if self.repeat < 0:
             raise ValidationError("repeat must be >= 0")
+        if self.max_workers < 1:
+            raise ValidationError("max_workers must be >= 1")
         if self.max_retries < 0:
             raise ValidationError("max_retries must be >= 0")
         if self.retry_backoff_s < 0:

@@ -35,21 +35,13 @@ from repro.search.schedulers import (
     TrialDecision,
     TrialScheduler,
 )
-from repro.search.backends import (
-    ExecutionBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
+from repro.search.backends import ExecutionBackend
 from repro.search.runner import ExperimentAnalysis, TrialRunner, run
 from repro.search.store import TrialClaim, TrialStore
 from repro.search.worker import run_worker, worker_trainable_from_run_dir
 
 __all__ = [
     "ExecutionBackend",
-    "available_backends",
-    "create_backend",
-    "register_backend",
     "TrialStore",
     "TrialClaim",
     "run_worker",

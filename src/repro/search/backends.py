@@ -1,32 +1,33 @@
-"""Pluggable trial-execution backends for the :class:`TrialRunner`.
+"""Trial-execution backends for the :class:`TrialRunner`.
 
 The runner's main loop is backend-agnostic: it suggests configurations,
-hands trials to a backend, and folds completed outcomes back into the
-search algorithm. Backends own *where and how* a trial executes:
+hands trials to a backend, and folds each completed outcome back into the
+trial and the search algorithm. Backends own *where* a trial executes —
+every one of them runs the same attempt loop,
+:func:`repro.search.execution.run_trial`, and returns its outcome dict
+(the wire format documented there), adding ``queue_wait_s`` when it can
+measure the submit → pickup wait:
 
-- :class:`SyncBackend` — deterministic sequential execution in the caller
-  thread (tests, debugging).
-- :class:`ThreadBackend` — a thread pool; supports schedulers and
-  intermediate reporting.
-- :class:`ProcessBackend` — a process pool; the trainable is registered
-  once per worker by the pool initializer, submissions ship compact trial
-  specs, and outcomes return as structured payloads.
+- :class:`SyncBackend` — the loop inline in the caller thread
+  (deterministic; tests, debugging).
+- :class:`ThreadBackend` — the loop on a pool thread; supports schedulers
+  and intermediate reporting; measures the queue wait.
+- :class:`ProcessBackend` — the loop in a process-pool child; the
+  trainable is registered once per worker by the pool initializer,
+  submissions ship compact trial specs; measures the queue wait.
 - :class:`StoreBackend` — **distributed** execution through a shared
   file-backed :class:`~repro.search.store.TrialStore`: trials are
   persisted to the campaign ledger, workers (local child processes and/or
   elastic ``python -m repro worker <run-dir>`` joiners, possibly on other
-  hosts) claim them under lease+heartbeat, and the parent folds ledgered
-  outcomes back exactly like process-pool payloads — retries, taint
-  markers and telemetry included.
+  hosts) claim them under lease+heartbeat and ledger their outcomes.
 
-Third parties can plug in their own transport with
-:func:`register_backend`; the runner resolves backend names through
-:func:`available_backends` at validation time.
+:data:`BACKENDS` maps each ``TrialRunner(executor=...)`` name to its class.
 """
 
 from __future__ import annotations
 
 import abc
+import inspect
 import os
 import subprocess
 import sys
@@ -40,12 +41,12 @@ from concurrent.futures import (
     wait,
 )
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import TrialError, ValidationError
-from repro.search.execution import pool_init, process_entry
+from repro.search.execution import failed_outcome, pool_init, process_entry, run_trial
 from repro.search.store import DEFAULT_LEASE_S, TrialStore
-from repro.search.trial import Trial, TrialStatus
+from repro.search.trial import Trial
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.search.runner import TrialRunner
@@ -56,34 +57,41 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "StoreBackend",
-    "register_backend",
-    "available_backends",
-    "backend_class",
-    "create_backend",
+    "BACKENDS",
 ]
 
 
 class ExecutionBackend(abc.ABC):
     """One way of executing trials on behalf of a :class:`TrialRunner`.
 
-    A backend is constructed per run with the owning runner (a friend
-    object: backends drive the runner's observability and retry helpers so
-    every backend reports costs and spans identically). Lifecycle::
+    A backend is constructed per run with the owning runner, whose public
+    attributes (trainable, retry/timeout knobs, ``max_workers``) it reads.
+    Lifecycle::
 
         backend.start()
         future = backend.submit(trial)        # any number of times
         done = backend.wait_any(futures)      # blocks for >=1 completion
-        backend.collect(future, trial)        # fold the outcome into trial
+        outcome = backend.collect(future)     # the trial's outcome dict
         backend.shutdown(cancel=...)          # always called (finally)
     """
 
-    #: registry key and ``TrialRunner(executor=...)`` name.
-    name: str = ""
     #: whether trials can consult the scheduler mid-flight (thread/sync).
     supports_mid_trial_scheduling: bool = True
+    #: the ``backend_options`` keys this backend accepts.
+    option_keys: frozenset[str] = frozenset()
 
     def __init__(self, runner: "TrialRunner") -> None:
         self.runner = runner
+
+    @classmethod
+    def check_options(cls, options: Mapping[str, Any]) -> None:
+        """Reject ``backend_options`` this backend cannot honour."""
+        unknown = sorted(set(options) - cls.option_keys)
+        if unknown:
+            accepted = sorted(cls.option_keys) or "none"
+            raise ValidationError(
+                f"unknown backend_options {unknown} for this executor (accepted: {accepted})"
+            )
 
     @property
     def capacity(self) -> int:
@@ -95,49 +103,83 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def submit(self, trial: Trial) -> Future:
-        """Dispatch one trial; the future resolves when it finishes."""
+        """Dispatch one trial; the future resolves to its outcome dict."""
 
     def wait_any(self, futures: set[Future]) -> set[Future]:
         """Block until at least one submitted trial completes."""
         done, _ = wait(futures, return_when=FIRST_COMPLETED)
         return done
 
-    def collect(self, future: Future, trial: Trial) -> None:
-        """Fold a completed future's outcome into ``trial``."""
-        future.result()  # propagate unexpected harness errors only
+    def collect(self, future: Future) -> dict[str, Any]:
+        """The outcome of a completed future; harness failures become one."""
+        try:
+            outcome = future.result()
+        except Exception as exc:  # noqa: BLE001 - pickling, a dead pool
+            return failed_outcome(f"{type(exc).__name__}: {exc}")
+        if not isinstance(outcome, dict):
+            return failed_outcome("the worker recorded no structured outcome")
+        return outcome
 
     def shutdown(self, cancel: bool = False) -> None:
         """Release resources; ``cancel`` abandons queued work."""
 
 
-class SyncBackend(ExecutionBackend):
-    """Sequential in-caller execution; ``submit`` returns a done future."""
+class _InProcessBackend(ExecutionBackend):
+    """Runs the attempt loop in this process, with scheduler reporting."""
 
-    name = "sync"
+    def __init__(self, runner: "TrialRunner") -> None:
+        super().__init__(runner)
+        #: two-parameter trainables also receive a Reporter.
+        self._on_report = runner.on_report if _takes_reporter(runner.trainable) else None
+
+    def _run(self, trial: Trial) -> dict[str, Any]:
+        runner = self.runner
+        return run_trial(
+            runner.trainable,
+            trial.config,
+            runner.max_retries,
+            runner.retry_backoff_s,
+            runner.trial_timeout_s,
+            trial_id=trial.trial_id,
+            on_report=self._on_report,
+        )
+
+
+def _takes_reporter(trainable: Any) -> bool:
+    """Whether ``trainable`` takes a second (Reporter) parameter."""
+    try:
+        return len(inspect.signature(trainable).parameters) >= 2
+    except (TypeError, ValueError):
+        return False
+
+
+class SyncBackend(_InProcessBackend):
+    """Sequential in-caller execution; ``submit`` returns a done future."""
 
     @property
     def capacity(self) -> int:
         return 1
 
     def submit(self, trial: Trial) -> Future:
-        self.runner._execute_with_retry(trial)
         future: Future = Future()
-        future.set_result(None)
+        future.set_result(self._run(trial))
         return future
 
 
-class ThreadBackend(ExecutionBackend):
+class ThreadBackend(_InProcessBackend):
     """Thread-pool execution with mid-trial scheduler consultation."""
-
-    name = "thread"
 
     def start(self) -> None:
         self._pool = ThreadPoolExecutor(max_workers=self.runner.max_workers)
 
     def submit(self, trial: Trial) -> Future:
-        trial.status = TrialStatus.RUNNING
-        trial._submitted = time.perf_counter()
-        return self._pool.submit(self.runner._run_threaded, trial)
+        return self._pool.submit(self._run_queued, trial, time.perf_counter())
+
+    def _run_queued(self, trial: Trial, submitted: float) -> dict[str, Any]:
+        queue_wait_s = time.perf_counter() - submitted
+        outcome = self._run(trial)
+        outcome["queue_wait_s"] = queue_wait_s
+        return outcome
 
     def shutdown(self, cancel: bool = False) -> None:
         self._pool.shutdown(wait=True, cancel_futures=cancel)
@@ -146,28 +188,23 @@ class ThreadBackend(ExecutionBackend):
 class ProcessBackend(ExecutionBackend):
     """Process-pool execution via the picklable :func:`process_entry`."""
 
-    name = "process"
     supports_mid_trial_scheduling = False
 
     def start(self) -> None:
         # The initializer registers the trainable once per worker, so each
         # submission ships only a compact per-trial spec. Workers join the
         # telemetry fabric whenever the parent is observing.
+        runner = self.runner
         self._pool = ProcessPoolExecutor(
-            max_workers=self.runner.max_workers,
+            max_workers=runner.max_workers,
             initializer=pool_init,
-            initargs=(self.runner.trainable, self.runner._observing(), self.runner.name),
+            initargs=(runner.trainable, runner.observing, runner.name),
         )
 
     def submit(self, trial: Trial) -> Future:
         runner = self.runner
-        trial.status = TrialStatus.RUNNING
-        trial._submitted = time.perf_counter()
-        trial._start = time.perf_counter()
-        # trainable=None: the worker uses its pool_init registration.
         return self._pool.submit(
             process_entry,
-            None,
             dict(trial.config),
             runner.max_retries,
             runner.retry_backoff_s,
@@ -175,15 +212,6 @@ class ProcessBackend(ExecutionBackend):
             trial.trial_id,
             time.time(),  # wall clock: the only timeline workers share
         )
-
-    def collect(self, future: Future, trial: Trial) -> None:
-        payload: Any = None
-        try:
-            payload = future.result()
-        except Exception as exc:  # noqa: BLE001 - harness failure (pickling, pool death)
-            trial.error = f"{type(exc).__name__}: {exc}"
-            trial.status = TrialStatus.ERROR
-        self.runner._fold_worker_payload(trial, payload)
 
     def shutdown(self, cancel: bool = False) -> None:
         self._pool.shutdown(wait=True, cancel_futures=cancel)
@@ -207,35 +235,47 @@ class StoreBackend(ExecutionBackend):
       completion-poll interval.
     """
 
-    name = "store"
     supports_mid_trial_scheduling = False
+    option_keys = frozenset({"store_dir", "spawn", "local_workers", "run_dir", "lease_s", "poll_s"})
 
-    def start(self) -> None:
-        runner = self.runner
-        options = dict(runner.backend_options or {})
-        store_dir = options.get("store_dir")
-        if store_dir is None:
+    @classmethod
+    def check_options(cls, options: Mapping[str, Any]) -> None:
+        super().check_options(options)
+        if options.get("store_dir") is None:
             raise ValidationError(
                 "the store backend needs backend_options={'store_dir': ...}"
             )
+        spawn = options.get("spawn", "mp")
+        if spawn not in ("mp", "cli", "none"):
+            raise ValidationError(f"unknown store spawn mode {spawn!r}")
+        if spawn == "cli" and options.get("run_dir") is None:
+            raise ValidationError("spawn='cli' needs backend_options={'run_dir': ...}")
+        try:
+            periods = [float(options[k]) for k in ("lease_s", "poll_s") if k in options]
+            local_workers = int(options.get("local_workers", 0))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad store backend_options: {exc}") from None
+        if any(not period > 0 for period in periods):
+            raise ValidationError("backend_options 'lease_s' and 'poll_s' must be > 0")
+        if local_workers < 0:
+            raise ValidationError("backend_options 'local_workers' must be >= 0")
+
+    def start(self) -> None:
+        runner = self.runner
+        options = runner.backend_options  # validated by check_options
         self.lease_s = float(options.get("lease_s", DEFAULT_LEASE_S))
         self.poll_s = float(options.get("poll_s", 0.05))
-        self.spawn = str(options.get("spawn", "mp"))
-        if self.spawn not in ("mp", "cli", "none"):
-            raise ValidationError(f"unknown store spawn mode {self.spawn!r}")
-        self.run_dir = options.get("run_dir")
-        if self.spawn == "cli" and self.run_dir is None:
-            raise ValidationError("spawn='cli' needs backend_options={'run_dir': ...}")
+        spawn = options.get("spawn", "mp")
         local_workers = int(options.get("local_workers", runner.max_workers))
         self.store = TrialStore.create(
-            store_dir,
+            options["store_dir"],
             name=runner.name,
             metric=runner.metric,
             max_retries=runner.max_retries,
             retry_backoff_s=runner.retry_backoff_s,
             trial_timeout_s=runner.trial_timeout_s,
             lease_s=self.lease_s,
-            telemetry=runner._observing(),
+            telemetry=runner.observing,
             # Each campaign session starts a fresh ledger: resume replays
             # finished trials through the checkpoint layer, and a stale
             # ``close`` event must not poison the new session's workers.
@@ -246,7 +286,7 @@ class StoreBackend(ExecutionBackend):
         self._popen: list[subprocess.Popen] = []
         self._warned_no_workers = False
         self._dead_since: float | None = None
-        if self.spawn == "mp":
+        if spawn == "mp":
             import multiprocessing
 
             from repro.search.worker import _local_worker_main
@@ -260,7 +300,7 @@ class StoreBackend(ExecutionBackend):
                 )
                 proc.start()
                 self._procs.append(proc)
-        elif self.spawn == "cli":
+        elif spawn == "cli":
             pkg_root = str(Path(__file__).resolve().parents[2])
             env = dict(os.environ)
             env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
@@ -273,7 +313,7 @@ class StoreBackend(ExecutionBackend):
                             "-m",
                             "repro",
                             "worker",
-                            str(self.run_dir),
+                            str(options["run_dir"]),
                             "--runner-id",
                             f"{runner.name}/local{index}",
                         ],
@@ -284,9 +324,6 @@ class StoreBackend(ExecutionBackend):
                 )
 
     def submit(self, trial: Trial) -> Future:
-        trial.status = TrialStatus.RUNNING
-        trial._submitted = time.perf_counter()
-        trial._start = time.perf_counter()
         self.store.add_trial(trial.trial_id, trial.config)
         future: Future = Future()
         self._trial_ids[future] = trial.trial_id
@@ -346,14 +383,6 @@ class StoreBackend(ExecutionBackend):
                 f"{self.store.root}"
             )
 
-    def collect(self, future: Future, trial: Trial) -> None:
-        payload = future.result()
-        if not isinstance(payload, dict):
-            trial.error = "store worker recorded no structured outcome"
-            trial.status = TrialStatus.ERROR
-            payload = None
-        self.runner._fold_worker_payload(trial, payload)
-
     def shutdown(self, cancel: bool = False) -> None:
         self.store.close()
         deadline = time.monotonic() + max(self.lease_s, 5.0)
@@ -373,33 +402,10 @@ class StoreBackend(ExecutionBackend):
                     proc.kill()
 
 
-_BACKENDS: dict[str, type[ExecutionBackend]] = {}
-
-
-def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
-    """Register an :class:`ExecutionBackend` under its ``name``."""
-    if not cls.name:
-        raise ValidationError(f"{cls.__name__} declares no backend name")
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, for ``executor=`` validation."""
-    return tuple(sorted(_BACKENDS))
-
-
-def backend_class(name: str) -> type[ExecutionBackend]:
-    """Resolve a backend class by name; raises for unknown executors."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValidationError(f"unknown executor {name!r}") from None
-
-
-def create_backend(name: str, runner: "TrialRunner") -> ExecutionBackend:
-    return backend_class(name)(runner)
-
-
-for _cls in (SyncBackend, ThreadBackend, ProcessBackend, StoreBackend):
-    register_backend(_cls)
+#: ``TrialRunner(executor=...)`` name -> backend class.
+BACKENDS: dict[str, type[ExecutionBackend]] = {
+    "sync": SyncBackend,
+    "thread": ThreadBackend,
+    "process": ProcessBackend,
+    "store": StoreBackend,
+}

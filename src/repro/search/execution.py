@@ -1,48 +1,59 @@
-"""Worker-side trial execution primitives.
+"""The one trial-execution loop shared by every backend.
 
-Everything a *worker* — a process-pool child, or a store-backed runner on
-another host — needs to execute one trial attempt lives here, so the same
-retry/timeout/taint semantics apply no matter which
-:class:`~repro.search.backends.ExecutionBackend` dispatched the trial:
+Every :class:`~repro.search.backends.ExecutionBackend` runs a trial through
+:func:`run_trial` — inline for ``sync``, on the pool thread for
+``thread``, in the child for ``process`` (via :func:`process_entry`) and
+in the store worker (:mod:`repro.search.worker`) — so retries, timeouts,
+taint markers and the reported outcome cannot depend on the executor:
 
-- :func:`normalize_result` — coerce a trainable's return value into the
-  float metrics dict the parent folds into the :class:`Trial`;
-- :func:`attempt_once` / :func:`process_attempts` — one attempt (with the
-  per-attempt timeout isolation thread) and the retry-with-backoff loop,
-  both publishing the attempt index through :mod:`repro.faults.context`;
-- :func:`process_entry` — the picklable top-level entry submitted to
-  process pools, returning the structured outcome payload;
-- :func:`pool_init` — the pool initializer that registers the trainable
-  once per worker and joins the telemetry fabric.
+- :func:`attempt_once` — one attempt, isolated on a daemon thread when a
+  timeout is set (an abandoned attempt only ever writes to its own box);
+- :func:`run_trial` — the retry-with-backoff loop, publishing the attempt
+  index through :mod:`repro.faults.context`; in-process callers may pass
+  an ``on_report`` scheduler hook, and each attempt then reports into its
+  own scratch :class:`~repro.search.trial.Trial`;
+- :func:`process_entry` / :func:`pool_init` — the picklable process-pool
+  entry and the initializer that registers the trainable once per worker;
+- :func:`failed_outcome` — the outcome of a trial whose harness failed;
+- :func:`normalize_result` — the parent's coercion of a raw result.
 
-The **outcome payload** is the shared wire format between any worker and
-the parent's :meth:`TrialRunner._fold_worker_payload`::
+The **outcome** is the one wire format every backend returns and the
+parent's ``TrialRunner`` folds::
 
-    {"ok": bool, "raw"/"error": ..., "retries": int, "timeouts": int,
-     "tainted": bool, ["queue_wait_s": float, "evaluate_s": float,
-     "telemetry": {...}]}
+    {"ok": bool, "raw": ... | "stopped": True | "error": str,
+     "retries": int, "timeouts": int, "tainted": bool, "evaluate_s": float,
+     "attempts": [{"status": "ok" | "stopped" | "error" | "timeout",
+                   "duration_s": float, "end_s": float, ["error": str]}],
+     ["queue_wait_s": float, "intermediate": [[step, value], ...],
+      "telemetry": {...}]}
 
-Store-backed workers (:mod:`repro.search.worker`) persist exactly this
-payload into the trial ledger, so distributed outcomes replay through the
-same parent-side folding as local process-pool results.
+``evaluate_s`` is the worker-measured wall of the attempt loop, and each
+attempt's ``end_s`` is its end relative to the loop's start, so the parent
+places one ``execute`` span per attempt without sharing a clock with the
+worker. ``queue_wait_s`` is added by the backends that can measure it
+(thread, process). Store workers persist exactly this payload into the
+trial ledger, plus ``reclaimed`` / ``telemetry_pushed`` markers.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from typing import Any, Callable, Optional
 
 from repro.errors import TrialError
 from repro.faults.context import injection_occurred, reset_injection_flag, set_current_attempt
 from repro.observability import fabric
 from repro.observability.trace import get_tracer
+from repro.search.trial import Reporter, StopTrial, Trial
 
 __all__ = [
     "Trainable",
     "normalize_result",
     "attempt_once",
-    "process_attempts",
+    "run_trial",
+    "failed_outcome",
     "process_entry",
     "pool_init",
 ]
@@ -73,42 +84,130 @@ def normalize_result(raw: Any, metric: str) -> dict[str, float]:
 
 
 def attempt_once(
-    trainable: Trainable, config: dict[str, Any], timeout_s: float | None
+    trainable: Trainable,
+    config: dict[str, Any],
+    timeout_s: float | None,
+    attempt: int = 0,
+    reporter: Reporter | None = None,
 ) -> tuple[str, Any, bool]:
-    """One attempt in a worker process.
+    """One attempt at one trial.
 
-    Returns ``(status, payload, injected)`` where status is ``"ok"`` /
-    ``"error"`` / ``"timeout"`` and ``injected`` records whether a fault
-    was injected into the attempt (read on the thread that ran it, since
-    the marker is thread-local).
+    Returns ``(status, payload, injected)``: status is ``"ok"`` (payload:
+    the raw result), ``"stopped"`` (the scheduler raised
+    :class:`StopTrial` through ``reporter``), ``"error"`` or ``"timeout"``
+    (payload: the error text); ``injected`` records whether a fault was
+    injected into the attempt, read on the thread that ran it since the
+    marker is thread-local. ``SystemExit`` is one trial's error like any
+    other exception; only ``KeyboardInterrupt`` propagates.
     """
     if timeout_s is None:
+        set_current_attempt(attempt)
         reset_injection_flag()
         try:
-            raw = trainable(config)
+            raw = trainable(config) if reporter is None else trainable(config, reporter)
             return ("ok", raw, injection_occurred())
-        except Exception as exc:  # noqa: BLE001 - reported to the parent
-            return ("error", f"{type(exc).__name__}: {exc}", injection_occurred())
-        except BaseException as exc:  # SystemExit & friends: still one trial's error
-            if isinstance(exc, KeyboardInterrupt):
-                raise
+        except StopTrial:
+            return ("stopped", None, injection_occurred())
+        except KeyboardInterrupt:
+            raise
+        except BaseException as exc:  # noqa: BLE001 - SystemExit & friends included
             return ("error", f"{type(exc).__name__}: {exc}", injection_occurred())
     box: list[tuple[str, Any, bool]] = []
 
     def _worker() -> None:
         try:
-            box.append(attempt_once(trainable, config, None))
+            box.append(attempt_once(trainable, config, None, attempt, reporter))
         except BaseException as exc:  # noqa: BLE001 - keep the box non-empty
             box.append(("error", f"{type(exc).__name__}: {exc}", True))
 
-    worker = threading.Thread(target=_worker, daemon=True)
+    worker = threading.Thread(target=_worker, name=f"trial-attempt{attempt}", daemon=True)
     worker.start()
     worker.join(timeout_s)
     if worker.is_alive():
-        return ("timeout", f"TrialTimeout: exceeded {timeout_s}s", True)
+        # Python cannot preempt the thread: it is abandoned, and whatever it
+        # still does lands in a box nobody reads.
+        return ("timeout", f"TrialTimeout: attempt {attempt + 1} exceeded {timeout_s}s", True)
     if not box:
         return ("error", "trial worker exited without reporting a result", True)
     return box[0]
+
+
+def run_trial(
+    trainable: Trainable,
+    config: dict[str, Any],
+    max_retries: int = 0,
+    backoff_s: float = 0.0,
+    timeout_s: float | None = None,
+    *,
+    trial_id: str = "",
+    on_report: Optional[Callable[[Trial, int, float], bool]] = None,
+    telemetry: bool = False,
+) -> dict[str, Any]:
+    """Run one trial with retries and a per-attempt timeout; return its outcome.
+
+    A failed or hung attempt is retried up to ``max_retries`` times, after
+    an exponential ``backoff_s`` pause. With ``on_report`` the trainable
+    also receives a :class:`Reporter` writing into a per-attempt scratch
+    trial, and the final attempt's reports travel back as
+    ``intermediate``. With ``telemetry`` (an activated fabric worker) the
+    loop runs under an ``evaluate`` span and the worker's drained spans
+    ride along as ``telemetry``. Never raises for trainable failures.
+    """
+    attempts: list[dict[str, Any]] = []
+    scratch: Trial | None = None
+    reporter: Reporter | None = None
+    span = get_tracer().span("evaluate", trial_id=trial_id) if telemetry else nullcontext()
+    with span:
+        start = time.perf_counter()
+        for attempt in range(int(max_retries) + 1):
+            if attempt and backoff_s > 0:
+                time.sleep(backoff_s * 2 ** (attempt - 1))
+            if on_report is not None:
+                scratch = Trial(trial_id=trial_id, config=dict(config))
+                reporter = Reporter(scratch, on_report)
+            began = time.perf_counter()
+            status, payload, injected = attempt_once(
+                trainable, dict(config), timeout_s, attempt, reporter
+            )
+            now = time.perf_counter()
+            attempts.append({"status": status, "duration_s": now - began, "end_s": now - start})
+            if status in ("ok", "stopped"):
+                break
+            attempts[-1]["error"] = payload
+        evaluate_s = time.perf_counter() - start
+    ok = status in ("ok", "stopped")
+    outcome: dict[str, Any] = {
+        "ok": ok,
+        "retries": len(attempts) - 1,
+        "timeouts": sum(a["status"] == "timeout" for a in attempts),
+        "tainted": bool(not ok or injected or len(attempts) > 1),
+        "evaluate_s": evaluate_s,
+        "attempts": attempts,
+    }
+    if status == "ok":
+        outcome["raw"] = payload
+    elif status == "stopped":
+        outcome["stopped"] = True
+    else:
+        outcome["error"] = payload
+    if scratch is not None and scratch.intermediate:
+        outcome["intermediate"] = list(scratch.intermediate)
+    if telemetry:
+        outcome["telemetry"] = fabric.drain_worker()
+    return outcome
+
+
+def failed_outcome(error: str) -> dict[str, Any]:
+    """The outcome of a trial whose harness failed (pool death, no ledger record)."""
+    return {
+        "ok": False,
+        "error": error,
+        "retries": 0,
+        "timeouts": 0,
+        "tainted": True,
+        "evaluate_s": 0.0,
+        "attempts": [{"status": "error", "duration_s": 0.0, "end_s": 0.0, "error": error}],
+    }
 
 
 #: per-worker registration installed by :func:`pool_init` — the trainable
@@ -131,84 +230,30 @@ def pool_init(
         fabric.activate_worker(runner_name)
 
 
-def process_attempts(
-    trainable: Trainable,
+def process_entry(
     config: dict[str, Any],
     max_retries: int,
     backoff_s: float,
     timeout_s: float | None,
+    trial_id: str,
+    submitted_unix: float,
 ) -> dict[str, Any]:
-    """The worker-side retry/timeout loop shared by all process entries."""
-    retries = 0
-    timeouts = 0
-    payload: Any = None
-    injected = False
-    for attempt in range(int(max_retries) + 1):
-        set_current_attempt(attempt)
-        status, payload, injected = attempt_once(trainable, config, timeout_s)
-        if status == "ok":
-            return {
-                "ok": True,
-                "raw": payload,
-                "retries": retries,
-                "timeouts": timeouts,
-                "tainted": bool(injected or retries or timeouts),
-            }
-        if status == "timeout":
-            timeouts += 1
-        if attempt < max_retries:
-            retries += 1
-            if backoff_s > 0:
-                time.sleep(backoff_s * (2**attempt))
-    return {
-        "ok": False,
-        "error": payload,
-        "retries": retries,
-        "timeouts": timeouts,
-        "tainted": True,
-    }
+    """Top-level process-pool entry (picklable): :func:`run_trial` in the child.
 
-
-def process_entry(
-    trainable: Optional[Trainable],
-    config: dict[str, Any],
-    max_retries: int = 0,
-    backoff_s: float = 0.0,
-    timeout_s: float | None = None,
-    trial_id: str | None = None,
-    submitted_unix: float | None = None,
-) -> dict[str, Any]:
-    """Top-level entry for process executors (picklable).
-
-    ``trainable=None`` uses the per-worker registration from
-    :func:`pool_init`, so each submission ships only the compact trial
-    spec (config + retry knobs), not a re-pickled trainable/conf object.
-    The retry/timeout loop runs *inside* the worker so the parent's drain
-    loop stays a plain future wait. Never raises for trainable failures —
-    the structured payload carries the outcome plus retry/timeout counts
-    and a ``tainted`` marker (fault injected or timed out on the final
-    attempt) the evaluation cache uses to refuse admission.
-
-    In a fabric-activated worker the payload additionally carries
-    worker-measured ``queue_wait_s``/``evaluate_s`` and a ``telemetry``
-    blob (spans) for the parent to merge.
+    The trainable is the one :func:`pool_init` registered, so each
+    submission ships only the compact trial spec. The submit → pickup wait
+    is measured against the parent's ``submitted_unix`` wall-clock stamp —
+    the only clock both processes share.
     """
-    if trainable is None:
-        trainable = _WORKER_TRAINABLE
-        if trainable is None:  # pragma: no cover - defensive
-            return {"ok": False, "error": "no trainable registered in worker", "retries": 0, "timeouts": 0, "tainted": True}
-    if not fabric.worker_active():
-        return process_attempts(trainable, config, max_retries, backoff_s, timeout_s)
-    queue_wait = 0.0
-    if submitted_unix is not None:
-        # Submit→pickup across the process boundary: only wall clocks are
-        # shared, so the parent stamps a unix timestamp at submit time.
-        queue_wait = max(0.0, time.time() - float(submitted_unix))
-    start = time.perf_counter()
-    with get_tracer().span("evaluate", trial_id=trial_id):
-        result = process_attempts(trainable, config, max_retries, backoff_s, timeout_s)
-    evaluate_s = time.perf_counter() - start
-    result["queue_wait_s"] = queue_wait
-    result["evaluate_s"] = evaluate_s
-    result["telemetry"] = fabric.drain_worker()
-    return result
+    queue_wait_s = max(0.0, time.time() - float(submitted_unix))
+    outcome = run_trial(
+        _WORKER_TRAINABLE,
+        config,
+        max_retries,
+        backoff_s,
+        timeout_s,
+        trial_id=trial_id,
+        telemetry=fabric.worker_active(),
+    )
+    outcome["queue_wait_s"] = queue_wait_s
+    return outcome

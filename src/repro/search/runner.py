@@ -23,10 +23,14 @@ Executor notes
   (local children and/or ``python -m repro worker <run-dir>`` joiners).
   Configure with ``backend_options={"store_dir": ...}``.
 
-The runner's main loop is backend-agnostic — suggest, submit, wait, fold —
-and every backend reports through the same observability spine (trial
-spans, queue-wait/evaluate costs, fabric telemetry merge), so analyses are
-comparable across executors.
+The runner's main loop is backend-agnostic — suggest, submit, wait, fold.
+Every backend runs the same attempt loop
+(:func:`repro.search.execution.run_trial`) and returns the same outcome
+dict: status, retry/timeout/taint markers, the worker-measured
+``evaluate_s``, per-attempt records and, where the backend can see it,
+``queue_wait_s``. :meth:`TrialRunner._fold` turns every outcome into the
+trial record and its spans (one ``execute`` span per attempt) the same way,
+so analyses are comparable across executors.
 """
 
 from __future__ import annotations
@@ -39,26 +43,15 @@ from typing import Any, Callable, Optional
 
 from repro.bayesopt.space import Space
 from repro.errors import TrialError, ValidationError
-from repro.faults.context import injection_occurred, reset_injection_flag, set_current_attempt
 from repro.observability import fabric
 from repro.observability.profile import CostBreakdown, aggregate_costs
 from repro.observability.trace import Tracer, get_tracer
 from repro.search.algos import SearchAlgorithm, SurrogateSearch
-from repro.search.backends import backend_class, create_backend
+from repro.search.backends import BACKENDS
 from repro.search.evalcache import EvalCache
-
-# Worker-side primitives live in repro.search.execution; the historic
-# underscore names stay importable from here for callers and tests.
-from repro.search.execution import (
-    Trainable,
-    attempt_once as _attempt_once,  # noqa: F401 - re-export
-    normalize_result as _normalize_result,
-    pool_init as _pool_init,  # noqa: F401 - re-export
-    process_attempts as _process_attempts,  # noqa: F401 - re-export
-    process_entry as _process_entry,  # noqa: F401 - re-export
-)
+from repro.search.execution import Trainable, normalize_result
 from repro.search.schedulers import FIFOScheduler, TrialDecision, TrialScheduler
-from repro.search.trial import Reporter, StopTrial, Trial, TrialStatus
+from repro.search.trial import Trial, TrialStatus
 
 __all__ = ["TrialRunner", "ExperimentAnalysis", "run"]
 
@@ -66,16 +59,6 @@ __all__ = ["TrialRunner", "ExperimentAnalysis", "run"]
 #: searcher's ``state_dict()`` (refit cadence, hedge gains) so ``--resume``
 #: restores the optimization cadence, not just the observations.
 Checkpointer = Callable[[list[dict[str, Any]], Optional[dict[str, Any]]], Any]
-
-
-def _takes_reporter(trainable: Trainable) -> bool:
-    """Whether ``trainable`` takes a second (:class:`Reporter`) parameter."""
-    import inspect
-
-    try:
-        return len(inspect.signature(trainable).parameters) >= 2
-    except (TypeError, ValueError):
-        return False
 
 
 @dataclass
@@ -173,7 +156,11 @@ class TrialRunner:
             raise ValidationError("mode must be 'min' or 'max'")
         if num_samples < 1:
             raise ValidationError("num_samples must be >= 1")
-        backend_cls = backend_class(executor)  # raises for unknown executors
+        backend_cls = BACKENDS.get(executor)
+        if backend_cls is None:
+            raise ValidationError(f"unknown executor {executor!r}")
+        if max_workers < 1:
+            raise ValidationError("max_workers must be >= 1")
         if max_retries < 0:
             raise ValidationError("max_retries must be >= 0")
         if retry_backoff_s < 0:
@@ -182,9 +169,9 @@ class TrialRunner:
             raise ValidationError("trial_timeout_s must be > 0")
         if checkpoint_every < 1:
             raise ValidationError("checkpoint_every must be >= 1")
+        # Validated here, before run() replays any resumed trial.
+        backend_cls.check_options(backend_options or {})
         self.trainable = trainable
-        #: two-parameter trainables also receive a :class:`Reporter`.
-        self._wants_reporter = _takes_reporter(trainable)
         self.search_alg = search_alg
         self.metric = metric
         self.mode = mode
@@ -208,9 +195,9 @@ class TrialRunner:
         #: installed when :meth:`run` starts.
         self._explicit_tracer = tracer
         self._tracer = tracer if tracer is not None else get_tracer()
-        #: open per-trial spans, for cross-thread parenting (trial_id → Span).
+        #: open per-trial spans (trial_id → Span). Only the thread running
+        #: :meth:`run` emits spans, so no lock guards them.
         self._trial_spans: dict[str, Any] = {}
-        self._lock = threading.Lock()
         #: serializes all scheduler access: with the thread executor,
         #: ``on_result`` fires from worker threads while ``on_complete``
         #: fires from the drain loop — stateful schedulers need one lock.
@@ -234,7 +221,8 @@ class TrialRunner:
             self._log_path = directory / f"{name}.jsonl"
             self._log_path.write_text("")  # truncate previous runs
 
-    def _observing(self) -> bool:
+    @property
+    def observing(self) -> bool:
         """Whether any telemetry consumer is active (workers should join)."""
         return self._tracer.enabled
 
@@ -269,16 +257,14 @@ class TrialRunner:
         span = tracer.start_span(
             f"trial:{trial.trial_id}", start=now - suggest_s, trial_id=trial.trial_id
         )
-        with self._lock:
-            self._trial_spans[trial.trial_id] = span
+        self._trial_spans[trial.trial_id] = span
         self._child_span(trial, "suggest", suggest_s, end=now, fit=fit, batch=batch)
 
     def _close_trial(self, trial: Trial) -> None:
         tracer = self._tracer
         if not tracer.enabled:
             return
-        with self._lock:
-            span = self._trial_spans.pop(trial.trial_id, None)
+        span = self._trial_spans.pop(trial.trial_id, None)
         if span is not None:
             span.set("status", trial.status.value)
             if self.metric in trial.result:
@@ -309,8 +295,7 @@ class TrialRunner:
         tracer = self._tracer
         if not tracer.enabled:
             return
-        with self._lock:
-            parent = self._trial_spans.get(trial.trial_id)
+        parent = self._trial_spans.get(trial.trial_id)
         if end is None:
             end = tracer.clock()
         span = tracer.start_span(
@@ -321,120 +306,6 @@ class TrialRunner:
             **attributes,
         )
         tracer.end_span(span, error=error, end=end)
-
-    # -- single-trial execution -----------------------------------------------------
-
-    def _execute_inline(self, trial: Trial, attempt: int = 0) -> None:
-        reporter = Reporter(trial, self._on_report, self._lock)
-        set_current_attempt(attempt)
-        reset_injection_flag()
-        start = time.perf_counter()
-        trial.status = TrialStatus.RUNNING
-        try:
-            if self._wants_reporter:
-                raw = self.trainable(dict(trial.config), reporter)
-            else:
-                raw = self.trainable(dict(trial.config))
-            trial.result = _normalize_result(raw, self.metric)
-            trial.status = TrialStatus.TERMINATED
-        except StopTrial:
-            # Early-stopped: score with the last intermediate value.
-            last = trial.intermediate[-1][1] if trial.intermediate else float("nan")
-            trial.result = {self.metric: last}
-            trial.status = TrialStatus.STOPPED
-        except Exception as exc:  # noqa: BLE001 - recorded on the trial
-            trial.error = f"{type(exc).__name__}: {exc}"
-            trial.status = TrialStatus.ERROR
-        if injection_occurred():
-            # Read here, on the thread that ran the attempt (thread-local
-            # flag); the cache refuses results carrying this marker.
-            trial.cost["fault_injected"] = 1.0
-        trial.runtime_s = time.perf_counter() - start
-        trial.cost["evaluate_s"] = trial.runtime_s
-        self._child_span(
-            trial, "execute", trial.runtime_s, error=trial.error, status=trial.status.value
-        )
-
-    def _run_attempt(self, scratch: Trial, attempt: int) -> bool:
-        """Run one attempt; ``False`` means it hit the per-trial timeout.
-
-        With a timeout configured the attempt runs on its own daemon thread
-        against a *scratch* trial; on timeout the thread is abandoned (Python
-        cannot preempt it) but only ever mutates the scratch object, so the
-        real trial stays consistent for the retry.
-        """
-        if self.trial_timeout_s is None:
-            self._execute_inline(scratch, attempt)
-            return True
-        worker = threading.Thread(
-            target=self._execute_inline,
-            args=(scratch, attempt),
-            name=f"trial-{scratch.trial_id}-attempt{attempt}",
-            daemon=True,
-        )
-        worker.start()
-        worker.join(self.trial_timeout_s)
-        return not worker.is_alive()
-
-    def _execute_with_retry(self, trial: Trial) -> None:
-        """Execute a trial with per-attempt timeout and retry-with-backoff.
-
-        A failed or hung attempt is retried up to ``max_retries`` times; the
-        attempt index is published through :mod:`repro.faults.context` so
-        stochastic components (fault injectors, seeded evaluators) draw a
-        fresh stream per attempt. Retry/timeout counts are recorded on
-        ``trial.cost``; the trial span carries them into the metrics.
-        """
-        if self.max_retries == 0 and self.trial_timeout_s is None:
-            self._execute_inline(trial)
-            return
-        trial.status = TrialStatus.RUNNING
-        retries = 0
-        timeouts = 0
-        total_runtime = 0.0
-        attempts = self.max_retries + 1
-        for attempt in range(attempts):
-            scratch = Trial(trial_id=trial.trial_id, config=dict(trial.config))
-            completed = self._run_attempt(scratch, attempt)
-            with self._lock:
-                trial.intermediate = list(scratch.intermediate)
-            if completed:
-                trial.result = scratch.result
-                trial.error = scratch.error
-                trial.status = scratch.status
-                total_runtime += scratch.runtime_s
-                # Mirror the final attempt's injected-fault marker.
-                if scratch.cost.get("fault_injected"):
-                    trial.cost["fault_injected"] = 1.0
-                else:
-                    trial.cost.pop("fault_injected", None)
-            else:
-                timeouts += 1
-                trial.result = {}
-                trial.error = (
-                    f"TrialTimeout: attempt {attempt + 1} exceeded {self.trial_timeout_s}s"
-                )
-                trial.status = TrialStatus.ERROR
-                total_runtime += self.trial_timeout_s or 0.0
-                self._child_span(
-                    trial,
-                    "execute",
-                    self.trial_timeout_s or 0.0,
-                    error=trial.error,
-                    status="timeout",
-                )
-            if trial.status in (TrialStatus.TERMINATED, TrialStatus.STOPPED):
-                break
-            if attempt < attempts - 1:
-                retries += 1
-                if self.retry_backoff_s > 0:
-                    time.sleep(self.retry_backoff_s * (2**attempt))
-        trial.runtime_s = total_runtime
-        trial.cost["evaluate_s"] = total_runtime
-        if retries:
-            trial.cost["retries"] = float(retries)
-        if timeouts:
-            trial.cost["timeouts"] = float(timeouts)
 
     # -- evaluation cache -------------------------------------------------------------
 
@@ -470,13 +341,10 @@ class TrialRunner:
             return
         if trial.cost.get("cache_hit"):
             return
-        cost = trial.cost
-        tainted = bool(
-            cost.get("retries") or cost.get("timeouts") or cost.get("fault_injected")
-        )
-        self.eval_cache.store(trial.config, trial.result, tainted=tainted)
+        self.eval_cache.store(trial.config, trial.result, tainted=bool(trial.cost.get("tainted")))
 
-    def _on_report(self, trial: Trial, step: int, value: float) -> bool:
+    def on_report(self, trial: Trial, step: int, value: float) -> bool:
+        """Consult the scheduler on an intermediate report; False stops the trial."""
         with self._scheduler_lock:
             decision = self.scheduler.on_result(trial, step, value)
         return decision is TrialDecision.CONTINUE
@@ -487,9 +355,8 @@ class TrialRunner:
             return
         import json
 
-        with self._lock:
-            with self._log_path.open("a") as handle:
-                handle.write(json.dumps(trial.to_dict()) + "\n")
+        with self._log_path.open("a") as handle:
+            handle.write(json.dumps(trial.to_dict()) + "\n")
 
     def _after_trial(self, trial: Trial) -> None:
         with self._scheduler_lock:
@@ -566,7 +433,7 @@ class TrialRunner:
         start = time.perf_counter()
         trials: list[Trial] = []
         created = self._replay_resumed(trials)
-        backend = create_backend(self.executor_kind, self)
+        backend = BACKENDS[self.executor_kind](self)
         backend.start()
         futures: dict[Future, Trial] = {}
         cancel = False
@@ -597,6 +464,7 @@ class TrialRunner:
                             # slot; tell the searcher right away.
                             self._after_trial(trial)
                         else:
+                            trial.status = TrialStatus.RUNNING
                             futures[backend.submit(trial)] = trial
                     if len(configs) < len(ids):
                         break  # limited/exhausted for now: drain first
@@ -610,7 +478,7 @@ class TrialRunner:
                 done = backend.wait_any(set(futures))
                 for future in done:
                     trial = futures.pop(future)
-                    backend.collect(future, trial)
+                    self._fold(trial, backend.collect(future))
                     self._cache_store(trial)
                     self._after_trial(trial)
                 if created >= self.num_samples and not futures:
@@ -632,83 +500,70 @@ class TrialRunner:
         self._flush_checkpoint()
         return self._analysis(trials, start)
 
-    def _run_threaded(self, trial: Trial) -> None:
-        """Thread-pool entry: record the submit → pickup wait, then execute."""
-        if trial._submitted is not None:
-            wait_s = time.perf_counter() - trial._submitted
-            trial.cost["queue_wait_s"] = wait_s
-            self._child_span(trial, "queue-wait", wait_s)
-        self._execute_with_retry(trial)
+    def _fold(self, trial: Trial, outcome: dict[str, Any]) -> None:
+        """Fold one backend outcome into ``trial``, the same way for every executor.
 
-    def _fold_worker_payload(self, trial: Trial, payload: Any) -> None:
-        """Fold a worker's structured outcome payload into ``trial``.
-
-        The payload is the shared wire format documented in
-        :mod:`repro.search.execution` — produced identically by process-pool
-        workers and store-backed distributed workers, so both backends share
-        this one folding path (status, retry/timeout/taint markers, the
-        parent-clamped cost split, and the fabric telemetry merge).
-        ``payload=None`` means a harness-level failure already recorded on
-        the trial by the backend; only the wall-clock accounting runs.
+        The outcome is the wire format of :mod:`repro.search.execution`.
+        Sets status and result, the retry/timeout/taint markers and the
+        worker-measured cost split, then emits the ``queue-wait`` span (where
+        the backend measured the wait), one ``execute`` span per attempt and
+        merges the worker's telemetry. The evaluation is taken to have ended
+        now; spans are placed backwards from there by the worker's offsets.
         """
-        if isinstance(payload, dict):
-            retries = int(payload.get("retries", 0))
-            timeouts = int(payload.get("timeouts", 0))
-            if retries:
-                trial.cost["retries"] = float(retries)
-            if timeouts:
-                trial.cost["timeouts"] = float(timeouts)
-            if payload.get("tainted"):
-                trial.cost["fault_injected"] = 1.0
-            if payload.get("reclaimed"):
-                # The trial was reclaimed from a dead worker's expired lease;
-                # the count is provenance (and the taint marker above keeps
-                # the measurement out of the evaluation cache).
-                trial.cost["reclaimed"] = float(payload["reclaimed"])
-            if payload.get("ok"):
-                try:
-                    trial.result = _normalize_result(payload["raw"], self.metric)
-                    trial.status = TrialStatus.TERMINATED
-                except Exception as exc:  # noqa: BLE001 - recorded on the trial
-                    trial.error = f"{type(exc).__name__}: {exc}"
-                    trial.status = TrialStatus.ERROR
-            else:
-                trial.error = str(payload.get("error") or "trial failed")
+        cost = trial.cost
+        if outcome.get("intermediate"):
+            trial.intermediate = [(int(step), float(v)) for step, v in outcome["intermediate"]]
+        if outcome.get("stopped"):
+            # Early-stopped: score with the last intermediate value.
+            last = trial.intermediate[-1][1] if trial.intermediate else float("nan")
+            trial.result = {self.metric: last}
+            trial.status = TrialStatus.STOPPED
+        elif outcome.get("ok"):
+            try:
+                trial.result = normalize_result(outcome["raw"], self.metric)
+                trial.status = TrialStatus.TERMINATED
+            except Exception as exc:  # noqa: BLE001 - recorded on the trial
+                trial.error = f"{type(exc).__name__}: {exc}"
                 trial.status = TrialStatus.ERROR
-        wall = time.perf_counter() - (trial._start or time.perf_counter())
-        trial.runtime_s = wall
-        worker = payload if isinstance(payload, dict) and "evaluate_s" in payload else None
-        if worker is not None:
-            # A fabric worker measured the split itself: clamp both pieces to
-            # the parent-observed wall (clock skew must not inflate costs).
-            evaluate_s = min(max(float(worker["evaluate_s"]), 0.0), wall)
-            queue_wait_s = min(
-                max(float(worker.get("queue_wait_s", 0.0)), 0.0),
-                max(wall - evaluate_s, 0.0),
-            )
-            if queue_wait_s > 0:
-                trial.cost["queue_wait_s"] = queue_wait_s
-                # The wait happened at the *start* of the submit→collect wall.
-                self._child_span(
-                    trial,
-                    "queue-wait",
-                    queue_wait_s,
-                    end=self._tracer.clock() - wall + queue_wait_s,
-                )
         else:
-            # Pre-fabric fallback: only the submit→collect wall is
-            # observable, queue wait included.
-            evaluate_s = wall
-        trial.cost["evaluate_s"] = evaluate_s
-        self._child_span(
-            trial, "execute", evaluate_s, error=trial.error, status=trial.status.value
-        )
-        telemetry = payload.get("telemetry") if isinstance(payload, dict) else None
+            trial.error = str(outcome.get("error") or "trial failed")
+            trial.status = TrialStatus.ERROR
+        queue_wait_s = outcome.get("queue_wait_s")
+        if queue_wait_s is not None:
+            cost["queue_wait_s"] = float(queue_wait_s)
+        trial.runtime_s = cost["evaluate_s"] = float(outcome.get("evaluate_s", 0.0))
+        for key in ("retries", "timeouts", "reclaimed"):
+            if outcome.get(key):
+                cost[key] = float(outcome[key])
+        if outcome.get("tainted"):
+            # Retried, timed out, fault-injected or reclaimed: the
+            # measurement never enters the evaluation cache.
+            cost["tainted"] = 1.0
+        if not self._tracer.enabled:
+            return
+        start = self._tracer.clock() - trial.runtime_s
+        if queue_wait_s is not None:
+            self._child_span(trial, "queue-wait", cost["queue_wait_s"], end=start)
+        attempts = outcome.get("attempts") or ()
+        for k, attempt in enumerate(attempts):
+            status, error = attempt.get("status"), attempt.get("error")
+            if k == len(attempts) - 1 and status != "timeout":
+                status, error = trial.status.value, trial.error
+            self._child_span(
+                trial,
+                "execute",
+                float(attempt["duration_s"]),
+                end=start + float(attempt["end_s"]),
+                error=error,
+                status=status,
+            )
+        telemetry = outcome.get("telemetry")
         if telemetry is not None:
-            with self._lock:
-                trial_span = self._trial_spans.get(trial.trial_id)
             fabric.merge_payload(
-                telemetry, parent=trial_span, attributes={"trial_id": trial.trial_id}
+                telemetry,
+                tracer=self._tracer,
+                parent=self._trial_spans.get(trial.trial_id),
+                attributes={"trial_id": trial.trial_id},
             )
 
     def _analysis(self, trials: list[Trial], start: float) -> ExperimentAnalysis:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -38,14 +37,6 @@ class Trial:
     #: cycle-cost attribution filled by the runner: ``suggest_s`` /
     #: ``evaluate_s`` / ``tell_s`` seconds (see repro.observability.profile).
     cost: dict[str, float] = field(default_factory=dict)
-    #: ``time.perf_counter()`` at executor submission — set by the runner,
-    #: read back for the queue-wait span. A declared field (not an ad-hoc
-    #: attribute) so it survives dataclass copying and pickling.
-    _submitted: Optional[float] = None
-    #: ``time.perf_counter()`` when the process-executor submit happened;
-    #: the submit→collect wall is the only evaluate cost observable across
-    #: a process boundary.
-    _start: Optional[float] = None
 
     @property
     def last_step(self) -> int:
@@ -96,22 +87,14 @@ class Reporter:
     cleanly with its last reported value.
     """
 
-    def __init__(
-        self,
-        trial: Trial,
-        on_report: Callable[[Trial, int, float], bool],
-        lock: threading.Lock,
-    ) -> None:
+    def __init__(self, trial: Trial, on_report: Callable[[Trial, int, float], bool]) -> None:
         self._trial = trial
         self._on_report = on_report
-        self._lock = lock
         self._step = 0
 
     def report(self, value: float, step: int | None = None) -> None:
         """Report an intermediate objective value; may raise StopTrial."""
         self._step = self._step + 1 if step is None else int(step)
-        with self._lock:
-            self._trial.intermediate.append((self._step, float(value)))
-            keep_going = self._on_report(self._trial, self._step, float(value))
-        if not keep_going:
+        self._trial.intermediate.append((self._step, float(value)))
+        if not self._on_report(self._trial, self._step, float(value)):
             raise StopTrial()

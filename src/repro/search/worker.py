@@ -10,8 +10,9 @@ lease while a trial runs, so a worker that dies (even ``kill -9``) simply
 stops heartbeating and its trial is reclaimed by a peer once the lease
 expires.
 
-Execution semantics are identical to the in-process executors: the same
-:func:`~repro.search.execution.process_attempts` retry/timeout loop, the
+Execution semantics are identical to every other executor: the same
+:func:`~repro.search.execution.run_trial` attempt loop and outcome format
+(per-attempt records and the worker-measured ``evaluate_s`` included), the
 same taint markers, and — when the campaign parent is observing — the same
 telemetry fabric, with per-trial payloads persisted into the ledger for the
 parent to merge (spans arrive stamped with this worker's ``runner_id``).
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.observability import fabric
-from repro.search.execution import Trainable, process_attempts
+from repro.search.execution import Trainable, run_trial
 from repro.search.store import TrialClaim, TrialStore
 
 __all__ = ["run_worker", "default_runner_id", "worker_trainable_from_run_dir"]
@@ -151,30 +152,22 @@ def _execute_claim(
     push: Any = None,
 ) -> dict[str, Any]:
     """Run one claimed trial and build its ledger outcome payload."""
-    from repro.observability.trace import get_tracer
-
-    if not (telemetry and fabric.worker_active()):
-        outcome = process_attempts(
-            trainable, dict(claim.config), max_retries, backoff_s, timeout_s
-        )
-    else:
-        start = time.perf_counter()
-        with get_tracer().span("evaluate", trial_id=claim.trial_id):
-            outcome = process_attempts(
-                trainable, dict(claim.config), max_retries, backoff_s, timeout_s
-            )
-        evaluate_s = time.perf_counter() - start
-        outcome["evaluate_s"] = evaluate_s
-        payload = fabric.drain_worker()
-        pushed = False
-        if push is not None and payload is not None:
-            # Streamed to the live monitor: do not also embed the payload,
-            # or the parent would merge every span twice at drain time.
-            pushed = push.push(payload, attributes={"trial_id": claim.trial_id})
-        if pushed:
+    outcome = run_trial(
+        trainable,
+        claim.config,
+        max_retries,
+        backoff_s,
+        timeout_s,
+        trial_id=claim.trial_id,
+        telemetry=telemetry,
+    )
+    payload = outcome.get("telemetry")
+    if push is not None and payload is not None:
+        # Streamed to the live monitor: do not also embed the payload, or
+        # the parent would merge every span twice at drain time.
+        if push.push(payload, attributes={"trial_id": claim.trial_id}):
+            del outcome["telemetry"]
             outcome["telemetry_pushed"] = True
-        else:
-            outcome["telemetry"] = payload
     # A reclaimed trial's measurement may overlap a zombie twin still
     # running elsewhere; flag it so the evaluation cache refuses admission.
     if claim.prior_claims:

@@ -12,7 +12,8 @@ import pytest
 from repro.bayesopt import Integer, Optimizer, Real, Space
 from repro.search import run
 from repro.search.algos import ConcurrencyLimiter, GridSearch, RandomSearch, SurrogateSearch
-from repro.search.runner import TrialRunner, _attempt_once
+from repro.search.execution import attempt_once as _attempt_once
+from repro.search.runner import TrialRunner
 from repro.search.trial import TrialStatus
 
 

@@ -315,15 +315,14 @@ class TestStoreBackendCampaigns:
             runner.run()
 
     def test_store_requires_store_dir(self, tmp_path):
-        runner = TrialRunner(
-            _quadratic,
-            RandomSearch(make_space(), seed=1),
-            metric="loss",
-            num_samples=1,
-            executor="store",
-        )
         with pytest.raises(ValidationError, match="store_dir"):
-            runner.run()
+            TrialRunner(
+                _quadratic,
+                RandomSearch(make_space(), seed=1),
+                metric="loss",
+                num_samples=1,
+                executor="store",
+            )
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValidationError, match="unknown executor"):
