@@ -3,7 +3,9 @@
 Every benchmark regenerates one table or figure of the paper and prints a
 *paper vs measured* report (run with ``pytest benchmarks/ --benchmark-only
 -s`` to see them). Results are also dumped as JSON under
-``benchmarks/results/`` so EXPERIMENTS.md can be refreshed from them.
+``benchmarks/results/`` so EXPERIMENTS.md can be refreshed from them; the
+benchmarks the CI perf gate diffs also save an ``ops`` block of raw
+samples (:func:`save_bench`).
 
 Scale: by default experiments run at a reduced duration/repetition count
 (the shapes are stable well below the paper's 7 × 23 min protocol). Set
@@ -56,6 +58,22 @@ def sweep_scenario() -> PlantNetScenario:
 def save_results(name: str, payload: dict) -> None:
     """Persist a benchmark's rows for EXPERIMENTS.md."""
     dump_json(payload, RESULTS_DIR / f"{name}.json")
+
+
+def save_bench(name: str, payload: dict, ops: dict[str, list[float]]) -> None:
+    """Persist a gated benchmark's payload plus its ``ops`` block.
+
+    ``ops`` maps an op name to raw samples in seconds per unit of work
+    (one per trial, repeat or window; a whole-run cost is saved as the
+    one sample ``wall / units``). The block has the shape ``e2ebench/``
+    records use, ``{op: {"unit": "s", "count": n, "samples": [...]}}``,
+    which is the only shape ``python -m repro perf diff`` reads.
+    """
+    payload["ops"] = {
+        op: {"unit": "s", "count": len(samples), "samples": [float(v) for v in samples]}
+        for op, samples in ops.items()
+    }
+    save_results(name, payload)
 
 
 def print_table(table) -> None:

@@ -4,12 +4,12 @@ Measures how fast an optimization campaign turns the suggest → evaluate →
 tell crank, comparing three arms over the same search space and seed:
 
 - **baseline** — the pre-batching protocol: one ``ask()`` per trial with a
-  surrogate refit on every ask (``refit_every=1``), an unbounded fitted-model
-  history, and an eager ``result()`` rebuild after every ``tell`` (what the
-  optimizer used to do internally).
+  surrogate refit on every ask (``refit_every=1``) and an eager
+  ``result()`` rebuild after every ``tell`` (what the optimizer used to do
+  internally).
 - **fast** — the batched hot path through :func:`repro.search.run`: asks are
   drawn eight at a time from a single surrogate fit, refits are throttled
-  (``refit_every=8``), the model history is off, and results are lazy.
+  (``refit_every=8``), and results are lazy.
 - **flat** — refits off the ask path entirely: incremental per-tell
   ``partial_fit`` updates and full refits on the background worker, over a
   longer campaign. The payload's
@@ -21,7 +21,11 @@ The objective is a cheap analytic quadratic so the measurement isolates the
 optimizer-side cost (suggest + tell), not the evaluation. Results land in
 ``benchmarks/results/BENCH_campaign.json``: trials/sec per arm, the
 suggest+tell speedup, p50/p90/p99 suggest and tell latencies, the flat arm's
-head/tail split and fit counters, a sync-determinism marker, and peak RSS.
+head/tail split and fit counters, a sync-determinism marker, and peak RSS,
+plus the ``ops`` block the perf gate diffs: the raw per-trial suggest and
+tell samples of every arm (``<arm>.suggest`` / ``<arm>.tell``), the flat
+arm's last window (``flat.suggest_tail``) and each arm's wall per trial
+(``<arm>.trial``).
 
 Scale: 500 trials (flat arm 1000) by default; set ``REPRO_BENCH_SMOKE=1``
 for a 120-trial (flat arm 360) smoke run (used by CI).
@@ -44,7 +48,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import save_results
+from benchmarks.conftest import save_bench
 from repro.bayesopt import Optimizer, Real, Space
 from repro.search import run
 from repro.search.algos import SurrogateSearch
@@ -88,10 +92,15 @@ def _percentiles(samples: list[float]) -> dict[str, float]:
     }
 
 
-def _run_baseline(n: int) -> dict:
-    """Legacy per-trial protocol: refit-per-ask, model history, eager result."""
+def _samples(suggest_s: list[float], tell_s: list[float], wall: float) -> dict:
+    """An arm's raw per-trial samples, keyed by op suffix."""
+    return {"suggest": suggest_s, "tell": tell_s, "trial": [wall / len(suggest_s)]}
+
+
+def _run_baseline(n: int) -> tuple[dict, dict]:
+    """Legacy per-trial protocol: refit-per-ask, eager result."""
     space = _space()
-    opt = Optimizer(space, random_state=SEED, refit_every=1, keep_models=n)
+    opt = Optimizer(space, random_state=SEED, refit_every=1)
     names = space.names
     suggest_s: list[float] = []
     tell_s: list[float] = []
@@ -117,9 +126,9 @@ def _run_baseline(n: int) -> dict:
         "opt_trials_per_sec": n / opt_time,
         "suggest": _percentiles(suggest_s),
         "tell": _percentiles(tell_s),
-        "models_kept": len(opt.models),
+        "n_fits": opt.n_fits,
         "best": opt.result().fun,
-    }
+    }, _samples(suggest_s, tell_s, wall)
 
 
 @contextlib.contextmanager
@@ -162,7 +171,7 @@ def _serving(n: int):
         observability.disable()
 
 
-def _run_fast(n: int) -> dict:
+def _run_fast(n: int) -> tuple[dict, dict]:
     """Batched hot path through the trial runner, costs from Trial.cost."""
     space = _space()
     search = SurrogateSearch(
@@ -197,13 +206,13 @@ def _run_fast(n: int) -> dict:
         "opt_trials_per_sec": len(analysis.trials) / opt_time,
         "suggest": _percentiles(suggest_s),
         "tell": _percentiles(tell_s),
-        "models_kept": len(search.optimizer.models),
+        "n_fits": search.optimizer.n_fits,
         "best": analysis.best_result,
         "serve": serve_stats,
-    }
+    }, _samples(suggest_s, tell_s, wall)
 
 
-def _run_flat(n: int) -> dict:
+def _run_flat(n: int) -> tuple[dict, dict]:
     """Long campaign with refits off the ask path: incremental per-tell
     updates plus background full refits. Records
     the first-window vs last-window suggest percentiles so the payload can
@@ -256,7 +265,7 @@ def _run_flat(n: int) -> dict:
         "n_full_fits": n_fits,
         "n_background_fits": n_background,
         "best": best,
-    }
+    }, {**_samples(suggest_s, tell_s, wall), "suggest_tail": suggest_s[-WINDOW:]}
 
 
 def _run_sync_determinism(n: int = 60) -> dict:
@@ -286,10 +295,10 @@ def _run_sync_determinism(n: int = 60) -> dict:
 
 
 def test_campaign_throughput():
-    fast = _run_fast(N_TRIALS)
+    fast, fast_samples = _run_fast(N_TRIALS)
     rss_after_fast = _peak_rss_mb()
-    base = _run_baseline(N_TRIALS)
-    flat = _run_flat(N_FLAT)
+    base, base_samples = _run_baseline(N_TRIALS)
+    flat, flat_samples = _run_flat(N_FLAT)
     determinism = _run_sync_determinism()
 
     speedup = base["opt_time_s"] / fast["opt_time_s"]
@@ -310,19 +319,26 @@ def test_campaign_throughput():
         "peak_rss_mb": _peak_rss_mb(),
         "peak_rss_after_fast_mb": rss_after_fast,
     }
-    save_results("BENCH_campaign", payload)
+    ops = {
+        f"{arm}.{op}": samples
+        for arm, arm_samples in (
+            ("baseline", base_samples), ("fast", fast_samples), ("flat", flat_samples)
+        )
+        for op, samples in arm_samples.items()
+    }
+    save_bench("BENCH_campaign", payload, ops)
 
     print()
     print(f"campaign throughput ({payload['scale']}, {N_TRIALS} trials)")
     print(
         f"  baseline: {base['trials_per_sec']:7.1f} trials/s wall, "
         f"{base['opt_trials_per_sec']:7.1f} trials/s opt-side, "
-        f"{base['models_kept']} models kept"
+        f"{base['n_fits']} fits"
     )
     print(
         f"  fast:     {fast['trials_per_sec']:7.1f} trials/s wall, "
         f"{fast['opt_trials_per_sec']:7.1f} trials/s opt-side, "
-        f"{fast['models_kept']} models kept"
+        f"{fast['n_fits']} fits"
     )
     print(f"  suggest+tell speedup: {speedup:.1f}x")
     print(
@@ -351,10 +367,8 @@ def test_campaign_throughput():
             f"{stats['sse_events_dropped']} dropped"
         )
 
-    # The hot-path rewrite must hold a >=5x suggest+tell advantage and keep
-    # the fitted-model history flat (no per-trial model retention).
+    # The hot-path rewrite must hold a >=5x suggest+tell advantage.
     assert speedup >= 5.0, f"expected >=5x suggest+tell speedup, got {speedup:.1f}x"
-    assert fast["models_kept"] == 0
     assert fast["trials"] == N_TRIALS
     # Both arms optimize: sanity that batching didn't break convergence badly.
     assert fast["best"] < 0.5

@@ -20,7 +20,9 @@ evaluation path:
   one delay path, raw-number yields. Trial results must match the
   baseline arm exactly, trial by trial.
 
-Results land in ``benchmarks/results/BENCH_eval.json``. Scale: set
+Results land in ``benchmarks/results/BENCH_eval.json``; its ``ops`` block
+holds each DES arm's per-repeat cost per event (``des.<arm>.event``) and
+each campaign arm's wall per trial (``campaign.<arm>.trial``). Scale: set
 ``REPRO_BENCH_SMOKE=1`` for the CI-sized smoke run.
 """
 
@@ -31,7 +33,7 @@ import os
 import time
 from typing import Any, Optional
 
-from benchmarks.conftest import save_results
+from benchmarks.conftest import save_bench
 from repro.plantnet.scenario import PlantNetScenario
 from repro.search.algos import SearchAlgorithm
 from repro.search.evalcache import EvalCache
@@ -93,8 +95,8 @@ def _des_workload(env: Environment, plan: list[tuple[float, ...]], legacy: bool)
         env.process(proc(delays), name=f"p{i}")
 
 
-def _des_arm(legacy: bool) -> dict[str, float]:
-    best = float("inf")
+def _des_arm(legacy: bool) -> tuple[dict[str, float], list[float]]:
+    walls: list[float] = []
     final_now = 0.0
     plan = _delay_plan()
     for _ in range(DES_REPEATS):
@@ -114,14 +116,15 @@ def _des_arm(legacy: bool) -> dict[str, float]:
                 pass
         else:
             env.run()
-        best = min(best, time.perf_counter() - t0)
+        walls.append(time.perf_counter() - t0)
         final_now = env.now
     events = N_PROCS * (N_WAITS + 2)  # +init +completion per process
+    best = min(walls)
     return {
         "wall_s": best,
         "events_per_sec": events / best,
         "final_now": final_now,
-    }
+    }, [wall / events for wall in walls]
 
 
 # -- end-to-end campaign --------------------------------------------------------------
@@ -216,8 +219,8 @@ def _campaign_arm(*, fast: bool) -> tuple[dict[str, Any], list[dict[str, float]]
 
 def test_eval_throughput():
     # DES microbenchmark: raw-number fast lane vs the legacy event protocol.
-    legacy = _des_arm(legacy=True)
-    fast = _des_arm(legacy=False)
+    legacy, legacy_samples = _des_arm(legacy=True)
+    fast, fast_samples = _des_arm(legacy=False)
     assert fast["final_now"] == legacy["final_now"], "lanes diverged in simulated time"
     des_speedup = legacy["wall_s"] / fast["wall_s"]
 
@@ -253,7 +256,13 @@ def test_eval_throughput():
             "byte_identical": True,
         },
     }
-    save_results("BENCH_eval", payload)
+    ops = {
+        "des.legacy.event": legacy_samples,
+        "des.fast.event": fast_samples,
+        "campaign.baseline.trial": [base_arm["wall_s"] / base_arm["trials"]],
+        "campaign.fast.trial": [fast_arm["wall_s"] / fast_arm["trials"]],
+    }
+    save_bench("BENCH_eval", payload, ops)
 
     print()
     print(f"evaluation-path throughput ({payload['scale']})")

@@ -18,7 +18,9 @@ A repeat hybrid run with the same seed must reproduce identical numbers.
 Results land in ``benchmarks/results/BENCH_hybrid.json``. Scale: set
 ``REPRO_BENCH_SMOKE=1`` for the CI-sized smoke run (a compressed 2-hour
 "day" with the same rate curve — per-unit costs stay comparable, which is
-what the perf gate diffs).
+what the perf gate diffs: the ``ops`` block's wall per DES calibration
+window, ``hybrid.window``, and pure-DES wall per completed request,
+``des.request``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import os
 import time
 from typing import Any
 
-from benchmarks.conftest import save_results
+from benchmarks.conftest import save_bench
 from repro.engine import (
     BASELINE_CONFIG,
     HybridKnobs,
@@ -145,7 +147,11 @@ def test_hybrid_workload_scaling():
             "within_bound": hybrid["within_bound"],
         },
     }
-    save_results("BENCH_hybrid", payload)
+    ops = {
+        "hybrid.window": [hybrid["wall_s"] / hybrid["des_epochs"]],
+        "des.request": [des["wall_s"] / des["completed"]],
+    }
+    save_bench("BENCH_hybrid", payload, ops)
 
     print()
     print(f"hybrid fluid/DES scaling ({payload['scale']})")

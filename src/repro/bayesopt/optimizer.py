@@ -21,8 +21,7 @@ are kept off the campaign's critical path:
   distinct points from it; every batched point is registered as a pending
   constant-liar fantasy so the *next* refit accounts for in-flight trials.
 - surrogate refits are throttled (``refit_every`` fresh observations, with
-  a data-doubling staleness override) and the fitted-model history is a
-  capped opt-in record (``keep_models``) instead of an unbounded list.
+  a data-doubling staleness override); only the published model is kept.
 - ``tell`` is O(1): it caches the decoded point and the running best, and
   ``result()`` assembles the :class:`OptimizeResult` lazily from those
   caches instead of inverse-transforming the full history per call.
@@ -51,7 +50,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -143,8 +141,6 @@ class Optimizer:
       preserves the refit-per-ask behaviour; larger values amortize fits
       across many asks, with a staleness override forcing a refit once the
       observation set has doubled since the cached fit.
-    - ``keep_models``: size of the fitted-surrogate history exposed through
-      :attr:`models`. 0 (default) keeps none — campaign memory stays flat.
     - ``incremental``: fold each finite tell into the published surrogate
       via ``partial_fit`` (frozen-structure leaf updates) instead of
       counting it towards the refit throttle; full refits then only fire on
@@ -171,7 +167,6 @@ class Optimizer:
         lie_strategy: str = "cl_min",
         hedge_eta: float = 1.0,
         refit_every: int = 1,
-        keep_models: int = 0,
         incremental: bool = False,
         background_refit: bool = False,
         random_state: int | None = None,
@@ -185,8 +180,6 @@ class Optimizer:
             raise ValidationError(f"unknown lie_strategy {lie_strategy!r}")
         if refit_every < 1:
             raise ValidationError("refit_every must be >= 1")
-        if keep_models < 0:
-            raise ValidationError("keep_models must be >= 0")
         self.base_estimator = base_estimator
         self.n_initial_points = int(n_initial_points)
         self.acq_func = acq_func
@@ -196,7 +189,6 @@ class Optimizer:
         self.lie_strategy = lie_strategy
         self.hedge_eta = float(hedge_eta)
         self.refit_every = int(refit_every)
-        self.keep_models = int(keep_models)
         self.incremental = bool(incremental)
         self.background_refit = bool(background_refit)
         self.rng = np.random.default_rng(random_state)
@@ -225,7 +217,6 @@ class Optimizer:
         #: override. Without incremental updates it tracks ``_fit_told``
         #: exactly, preserving the historical staleness behaviour.
         self._full_fit_size = 0
-        self._model_history: deque[SurrogateModel] = deque(maxlen=self.keep_models)
         self._best_idx = -1
         self._best_y = math.inf
         #: finite tells only — NaN/inf objectives are recorded in the
@@ -248,11 +239,6 @@ class Optimizer:
         self._refit_thread: threading.Thread | None = None
         self._refit_process: RefitProcess | None = None
         self._closed = False
-
-    @property
-    def models(self) -> list[SurrogateModel]:
-        """Capped record of fitted surrogates (opt-in via ``keep_models``)."""
-        return list(self._model_history)
 
     # -- surrogate construction -----------------------------------------------------
 
@@ -311,8 +297,6 @@ class Optimizer:
         self._fit_pending = pend
         self._full_fit_size = told
         self.n_fits += 1
-        if self._model_history.maxlen:
-            self._model_history.append(model)
         return model
 
     def _schedule_refit(self) -> None:
@@ -384,8 +368,6 @@ class Optimizer:
                 self._fit_pending = pend
                 self._full_fit_size = told
                 self.n_background_fits += 1
-                if self._model_history.maxlen:
-                    self._model_history.append(model)
                 self._refit_inflight = False
 
     def close(self) -> None:

@@ -49,10 +49,11 @@ Subcommands::
     e2clab-repro perf record SOURCE --out BASELINE.json
     e2clab-repro perf diff BASELINE CANDIDATE [--threshold F]
         The perf-regression gate. ``record`` snapshots a run's
-        ``perf_profile.json`` (or a BENCH result) as a committed baseline;
+        ``perf_profile.json`` (or any record with an ``ops`` block: an
+        e2ebench or ``BENCH_*.json`` result) as a committed baseline;
         ``diff`` compares two profiles and exits non-zero when any watched
         quantile regressed beyond the threshold (with a bootstrap
-        significance check when full digests are available).
+        significance check when both sides carry samples or digests).
 
 Also reachable as ``python -m repro ...``.
 """
@@ -206,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf = sub.add_parser("perf", help="perf baselines and the regression gate")
     perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
     p_rec = perf_sub.add_parser(
-        "record", help="snapshot a perf profile (or BENCH result) as a baseline"
+        "record", help="snapshot a perf profile (or bench record) as a baseline"
     )
     p_rec.add_argument(
-        "source", help="run directory, perf_profile.json, or BENCH result JSON"
+        "source", help="run directory, perf_profile.json, or a record with an ops block"
     )
     p_rec.add_argument("--out", required=True, help="baseline JSON path to write")
     p_diff = perf_sub.add_parser(

@@ -32,6 +32,7 @@ from repro.observability.trace import get_tracer
 from repro.engine.cpumodel import CpuContentionModel, inflation_factor
 from repro.engine.gpu import GpuModel
 from repro.engine.metrics import EngineRunResult, MetricsCollector, POOL_NAMES, RequestTrace
+from repro.engine.schedule import ArrivalSchedule
 from repro.engine.tasks import TaskType
 from repro.testbed.network import NetworkPath
 from repro.utils.seeding import derive_seed, spawn_rng
@@ -371,29 +372,6 @@ class IdentificationEngine:
                 if index < population:
                     self._parked.pop(index).succeed()
 
-    def _open_loop_source(self) -> Generator[simcore.Event, None, None]:
-        """Poisson arrivals; each arrival is an independent request.
-
-        Inter-arrival gaps are drawn in batches from a dedicated arrival
-        RNG (derived from the run seed) instead of one scalar draw per
-        request from the shared stream. Batch draws from a numpy Generator
-        produce the same sequence as repeated scalar draws, so the arrival
-        process itself is unchanged — but keeping arrivals off the shared
-        RNG means batching cannot perturb the service-noise stream.
-        """
-        env = self.env
-        rate = self.workload.arrival_rate
-        assert rate is not None
-        scale = 1.0 / rate
-        duration = self.workload.duration
-        rng = spawn_rng(derive_seed(self.seed, "arrivals"))
-        while env.now < duration:
-            for gap in rng.exponential(scale, size=_ARRIVAL_BATCH).tolist():
-                yield gap
-                env.process(self._lifecycle(), name="request")
-                if env.now >= duration:
-                    return
-
     def _trace_source(self) -> Generator[simcore.Event, None, None]:
         """Replay an arrival trace verbatim (timestamps, no RNG draws)."""
         env = self.env
@@ -408,22 +386,25 @@ class IdentificationEngine:
                 yield stamp - env.now
             env.process(self._lifecycle(), name="request")
 
-    def _scheduled_source(self) -> Generator[simcore.Event, None, None]:
-        """Non-homogeneous Poisson arrivals following an ArrivalSchedule.
+    def _scheduled_source(
+        self, schedule: ArrivalSchedule
+    ) -> Generator[simcore.Event, None, None]:
+        """Poisson arrivals following a rate curve; each arrival is an
+        independent request. Plain ``arrival_rate`` mode runs here on
+        :meth:`ArrivalSchedule.constant`, one segment that never crosses
+        a boundary.
 
-        Within a segment, gaps are drawn in batches at the segment's rate
-        through the same calls as :meth:`_open_loop_source` — a schedule
-        with one constant segment is byte-identical to plain
-        ``arrival_rate`` mode. At a segment boundary the residual of the
-        gap in flight is rescaled by the old/new rate ratio (memoryless
-        rescaling), which makes the piecewise process an exact NHPP;
-        undrawn gaps of the batch are discarded so every segment samples
-        at its own scale.
+        Within a segment, inter-arrival gaps are drawn in batches at the
+        segment's rate from a dedicated arrival RNG (derived from the run
+        seed), so arrivals never perturb the service-noise stream. At a
+        segment boundary the residual of the gap in flight is rescaled by
+        the old/new rate ratio (memoryless rescaling), which makes the
+        piecewise process an exact NHPP; undrawn gaps of the batch are
+        discarded so every segment samples at its own scale.
         """
         env = self.env
         duration = self.workload.duration
-        assert self.workload.arrival_schedule is not None
-        segments = self.workload.arrival_schedule.segments(duration)
+        segments = schedule.segments(duration)
         rng = spawn_rng(derive_seed(self.seed, "arrivals"))
         index = 0
         carry = 0.0  # unit-exponential work left over from a boundary crossing
@@ -541,12 +522,13 @@ class IdentificationEngine:
         self._parked: dict[int, simcore.Event] = {}
         if workload.mode == "open":
             self._allowed_population = 0
-            if workload.arrival_schedule is None:
-                source = self._open_loop_source()
-            elif workload.arrival_schedule.is_trace:
+            schedule = workload.arrival_schedule or ArrivalSchedule.constant(
+                workload.arrival_rate
+            )
+            if schedule.is_trace:
                 source = self._trace_source()
             else:
-                source = self._scheduled_source()
+                source = self._scheduled_source(schedule)
             env.process(source, name="arrivals")
         else:
             self._allowed_population = workload.population_at(0.0)

@@ -1,26 +1,31 @@
 """Perf baselines and the regression gate (``python -m repro perf``).
 
 Closes the loop the bench trajectory was missing: a run's latency digests
-(``perf_profile.json``) — or a BENCH result JSON from ``benchmarks/`` —
-become a committed *baseline*, and every later run diffs against it with a
-non-zero exit on regression, so CI can hold the line on the hot-path
-latencies the paper's reproducibility claim rests on.
+(``perf_profile.json``) or a benchmark record become a committed
+*baseline*, and every later run diffs against it with a non-zero exit on
+regression, so CI can hold the line on the hot-path latencies the paper's
+reproducibility claim rests on.
 
-Three profile sources are sniffed automatically:
+Every source is one JSON object with an ``ops`` block mapping an op name
+to one entry, in one of three forms:
 
-- ``perf_profile.json`` (or a run directory containing one) — full digests,
-  enabling the bootstrap significance test;
-- ``BENCH_campaign.json`` — per-arm suggest/tell percentiles from
-  ``benchmarks/test_campaign_throughput.py``;
-- ``BENCH_eval.json`` — campaign/DES throughputs from
-  ``benchmarks/test_eval_throughput.py``, folded into mean latencies.
+- raw samples ``{"unit": "s", "count": n, "samples": [...]}`` — the
+  ``e2ebench/run.py`` records and the ``BENCH_*.json`` files the CI
+  benchmarks write (``benchmarks/conftest.py::save_bench``);
+- a latency digest next to its ``count``/``mean``/``p50``/``p90``/``p99``
+  rollup — ``perf_profile.json`` (or a run directory holding one);
+- the rollup alone.
 
-The statistical test: when both sides carry digests, each compared quantile
-is bootstrapped (resampling the digest-reconstructed samples) and a
-regression needs *both* the point ratio above ``1 + threshold`` and the
-bootstrap confidence interval of the ratio excluding 1 — identical runs
-diff clean, noise without signal diffs clean, a real 2× tail shift fails
-the gate. Without digests (BENCH JSONs), the plain ratio test applies.
+A recorded baseline is the same block re-written. An entry whose ``unit``
+is present must be seconds; a document without an ``ops`` block is
+rejected.
+
+The statistical test: each compared quantile regresses when its point
+ratio exceeds ``1 + threshold`` *and*, when both sides carry samples (raw,
+or reconstructed from a digest), the bootstrap confidence interval of the
+ratio excludes 1 — identical runs diff clean, noise without signal diffs
+clean, a real 2× shift fails the gate. With fewer than eight samples on a
+side the point ratio alone decides.
 """
 
 from __future__ import annotations
@@ -48,18 +53,20 @@ __all__ = [
 BASELINE_SCHEMA = "repro.perf_baseline/1"
 
 #: quantile keys a profile may carry, in comparison order.
-_QUANTILE_KEYS = ("p50", "p90", "p99")
+_QUANTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
 
 
 @dataclass
 class OpStats:
-    """One op's latency statistics, with the digest when available."""
+    """One op's latency statistics, with its raw samples or digest when
+    the source carries them."""
 
     op: str
     count: float = 0.0
     mean: float = math.nan
     quantiles: dict[str, float] = field(default_factory=dict)
     digest: Optional[LatencyDigest] = None
+    samples: Optional[list[float]] = None
 
     def value(self, key: str) -> Optional[float]:
         """The requested statistic (``p50``/``p90``/``p99``/``mean``)."""
@@ -70,8 +77,17 @@ class OpStats:
             return None
         return value
 
+    def bootstrap_samples(self) -> Optional[list[float]]:
+        """The raw samples, else the digest's reconstructed ones."""
+        if self.samples is not None:
+            return self.samples
+        return self.digest.samples() if self.digest is not None else None
+
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"count": self.count, "mean": self.mean, **self.quantiles}
+        if self.samples is not None:
+            out["unit"] = "s"
+            out["samples"] = list(self.samples)
         if self.digest is not None:
             out["digest"] = self.digest.to_dict()
         return out
@@ -81,7 +97,7 @@ class OpStats:
 
 
 def load_profile(path: str | Path) -> dict[str, OpStats]:
-    """Load a latency profile from any supported source (sniffed by shape)."""
+    """Load the ``ops`` block of a run directory or profile JSON."""
     source = Path(path)
     if source.is_dir():
         source = source / PERF_PROFILE_FILE
@@ -91,27 +107,22 @@ def load_profile(path: str | Path) -> dict[str, OpStats]:
         data = json.loads(source.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{source} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{source} does not hold a JSON object")
-    if "ops" in data:
-        return _parse_ops(data["ops"])
-    if _looks_like_bench_campaign(data):
-        return _parse_bench_campaign(data)
-    # hybrid must be sniffed before eval: its payload also carries a "des" arm.
-    if _looks_like_bench_hybrid(data):
-        return _parse_bench_hybrid(data)
-    if _looks_like_bench_eval(data):
-        return _parse_bench_eval(data)
-    raise ValidationError(
-        f"{source} is neither a perf profile, a recorded baseline, "
-        "nor a recognized BENCH result"
-    )
+    if not isinstance(data, dict) or not isinstance(data.get("ops"), Mapping):
+        raise ValidationError(f"{source} has no 'ops' block")
+    return _parse_ops(data["ops"])
 
 
 def _parse_ops(ops: Mapping[str, Any]) -> dict[str, OpStats]:
     out: dict[str, OpStats] = {}
-    for op, entry in dict(ops).items():
+    for op, entry in ops.items():
         if not isinstance(entry, Mapping):
+            continue
+        unit = entry.get("unit", "s")
+        if unit != "s":
+            raise ValidationError(f"op {op!r} has unit {unit!r}; the gate compares seconds")
+        raw = entry.get("samples")
+        if raw is not None:
+            out[str(op)] = _from_samples(str(op), raw)
             continue
         stats = OpStats(
             op=str(op),
@@ -119,7 +130,7 @@ def _parse_ops(ops: Mapping[str, Any]) -> dict[str, OpStats]:
             mean=float(entry.get("mean", math.nan)),
             quantiles={
                 key: float(entry[key])
-                for key in _QUANTILE_KEYS
+                for key, _ in _QUANTILES
                 if isinstance(entry.get(key), (int, float))
             },
         )
@@ -133,120 +144,20 @@ def _parse_ops(ops: Mapping[str, Any]) -> dict[str, OpStats]:
     return out
 
 
-def _looks_like_bench_campaign(data: Mapping[str, Any]) -> bool:
-    return any(
-        isinstance(arm, Mapping) and isinstance(arm.get("suggest"), Mapping)
-        for arm in data.values()
+def _from_samples(op: str, raw: Any) -> OpStats:
+    """Statistics of a raw-sample entry (linear-interpolated quantiles)."""
+    try:
+        samples = [float(v) for v in raw]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"op {op!r} samples are not a list of numbers") from exc
+    ordered = sorted(samples)
+    return OpStats(
+        op=op,
+        count=float(len(samples)),
+        mean=math.fsum(samples) / len(samples) if samples else math.nan,
+        quantiles={key: _quantile_of(ordered, q) for key, q in _QUANTILES} if samples else {},
+        samples=samples,
     )
-
-
-def _parse_bench_campaign(data: Mapping[str, Any]) -> dict[str, OpStats]:
-    """BENCH_campaign.json: per-arm suggest/tell percentile blocks (ms).
-
-    ``suggest_fit`` (fit-bearing asks) and ``suggest_tail`` (last-window
-    suggest latency of the flat-tail arm) are optional blocks newer
-    benchmark runs add; absent blocks are skipped so old baselines keep
-    diffing.
-    """
-    out: dict[str, OpStats] = {}
-    for arm, payload in data.items():
-        if not isinstance(payload, Mapping):
-            continue
-        for phase in ("suggest", "suggest_fit", "suggest_tail", "tell"):
-            block = payload.get(phase)
-            if not isinstance(block, Mapping):
-                continue
-            quantiles = {
-                key: float(block[f"{key}_ms"]) / 1e3
-                for key in _QUANTILE_KEYS
-                if isinstance(block.get(f"{key}_ms"), (int, float))
-            }
-            if not quantiles:
-                continue
-            stats = OpStats(
-                op=f"{arm}.{phase}",
-                count=float(payload.get("trials", 0.0)),
-                mean=quantiles.get("p50", math.nan),
-                quantiles=quantiles,
-            )
-            out[stats.op] = stats
-        trials = payload.get("trials")
-        wall = payload.get("wall_s")
-        if isinstance(trials, (int, float)) and isinstance(wall, (int, float)) and trials:
-            out[f"{arm}.trial"] = OpStats(
-                op=f"{arm}.trial", count=float(trials), mean=float(wall) / float(trials)
-            )
-    return out
-
-
-def _looks_like_bench_hybrid(data: Mapping[str, Any]) -> bool:
-    return isinstance(data.get("hybrid"), Mapping) and "speedup" in data
-
-
-def _parse_bench_hybrid(data: Mapping[str, Any]) -> dict[str, OpStats]:
-    """BENCH_hybrid.json: per-unit costs that survive the smoke/full scale gap.
-
-    The committed baseline is a full-day run while CI re-measures a smoke
-    (compressed-day) run, so only *per-unit* latencies are comparable:
-    the cost of one DES calibration window and the pure-DES cost per
-    completed request. Whole-run wall times scale with duration and are
-    deliberately not emitted.
-    """
-    out: dict[str, OpStats] = {}
-    hybrid = data.get("hybrid")
-    if isinstance(hybrid, Mapping):
-        wall = hybrid.get("wall_s")
-        windows = hybrid.get("des_epochs")
-        if (
-            isinstance(wall, (int, float))
-            and isinstance(windows, (int, float))
-            and windows
-        ):
-            op = "hybrid.window"
-            out[op] = OpStats(op=op, count=float(windows), mean=float(wall) / float(windows))
-    des = data.get("des")
-    if isinstance(des, Mapping):
-        wall = des.get("wall_s")
-        completed = des.get("completed")
-        if (
-            isinstance(wall, (int, float))
-            and isinstance(completed, (int, float))
-            and completed
-        ):
-            op = "des.request"
-            out[op] = OpStats(op=op, count=float(completed), mean=float(wall) / float(completed))
-    return out
-
-
-def _looks_like_bench_eval(data: Mapping[str, Any]) -> bool:
-    campaign = data.get("campaign")
-    des = data.get("des")
-    return isinstance(campaign, Mapping) or isinstance(des, Mapping)
-
-
-def _parse_bench_eval(data: Mapping[str, Any]) -> dict[str, OpStats]:
-    """BENCH_eval.json: throughputs folded into mean per-unit latencies."""
-    out: dict[str, OpStats] = {}
-    campaign = data.get("campaign")
-    if isinstance(campaign, Mapping):
-        for arm, payload in campaign.items():
-            if not isinstance(payload, Mapping):
-                continue
-            trials = payload.get("trials")
-            wall = payload.get("wall_s")
-            if isinstance(trials, (int, float)) and isinstance(wall, (int, float)) and trials:
-                op = f"campaign.{arm}.trial"
-                out[op] = OpStats(op=op, count=float(trials), mean=float(wall) / float(trials))
-    des = data.get("des")
-    if isinstance(des, Mapping):
-        for arm, payload in des.items():
-            if not isinstance(payload, Mapping):
-                continue
-            eps = payload.get("events_per_sec")
-            if isinstance(eps, (int, float)) and eps > 0:
-                op = f"des.{arm}.event"
-                out[op] = OpStats(op=op, count=float(eps), mean=1.0 / float(eps))
-    return out
 
 
 # -- recording ----------------------------------------------------------------------
@@ -349,10 +260,9 @@ def _quantile_of(sorted_values: Sequence[float], q: float) -> float:
 
 
 def _bootstrap_significant(
-    base: LatencyDigest,
-    cand: LatencyDigest,
+    base_samples: Sequence[float],
+    cand_samples: Sequence[float],
     q: float,
-    threshold: float,
     *,
     rounds: int = 200,
     confidence: float = 0.95,
@@ -360,12 +270,10 @@ def _bootstrap_significant(
 ) -> bool:
     """Whether the candidate's ``q``-quantile regression survives resampling.
 
-    Bootstraps both digests (via their reconstructed samples) and requires
-    the lower confidence bound of the candidate/baseline quantile ratio to
-    stay above 1 — i.e. the apparent regression is unlikely to be noise.
+    Bootstraps both sample lists and requires the lower confidence bound of
+    the candidate/baseline quantile ratio to stay above 1 — i.e. the
+    apparent regression is unlikely to be noise.
     """
-    base_samples = base.samples()
-    cand_samples = cand.samples()
     if len(base_samples) < 8 or len(cand_samples) < 8:
         return True  # too little data to argue noise: trust the point ratio
     rng = random.Random(seed)
@@ -397,7 +305,7 @@ def diff_profiles(
     seed: int = 0,
 ) -> PerfDiff:
     """Compare two profiles; a row regresses when its ratio exceeds
-    ``1 + threshold`` (and, with digests on both sides, the bootstrap
+    ``1 + threshold`` (and, with samples on both sides, the bootstrap
     confirms the shift is not resampling noise)."""
     if threshold <= 0:
         raise ValidationError("threshold must be > 0")
@@ -405,7 +313,7 @@ def diff_profiles(
     cand_ops = candidate if isinstance(candidate, Mapping) else load_profile(candidate)
     wanted = set(ops) if ops else None
     diff = PerfDiff(threshold=float(threshold))
-    q_of = dict((name, q) for name, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)))
+    q_of = dict(_QUANTILES)
     for op in sorted(set(base_ops) | set(cand_ops)):
         if wanted is not None and op not in wanted:
             continue
@@ -428,18 +336,7 @@ def diff_profiles(
                 )
             )
         if compared == 0:
-            # percentile-less sources (BENCH_eval): fall back to the mean.
-            base_v = base.value("mean")
-            cand_v = cand.value("mean")
-            if base_v is not None and cand_v is not None and base_v > 0:
-                diff.rows.append(
-                    _compare_stat(
-                        op, "mean", base, cand, base_v, cand_v, threshold,
-                        None, bootstrap_rounds, confidence, seed,
-                    )
-                )
-            else:
-                diff.skipped.append(f"{op} (no comparable statistic)")
+            diff.skipped.append(f"{op} (no comparable statistic)")
     return diff
 
 
@@ -461,12 +358,13 @@ def _compare_stat(
     significant = None
     if ratio > 1.0 + threshold:
         significant = True
-        if q is not None and base.digest is not None and cand.digest is not None:
+        base_samples = base.bootstrap_samples()
+        cand_samples = cand.bootstrap_samples()
+        if q is not None and base_samples is not None and cand_samples is not None:
             significant = _bootstrap_significant(
-                base.digest,
-                cand.digest,
+                base_samples,
+                cand_samples,
                 q,
-                threshold,
                 rounds=bootstrap_rounds,
                 confidence=confidence,
                 seed=seed,

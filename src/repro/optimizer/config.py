@@ -31,10 +31,12 @@ Example::
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.bayesopt import Optimizer
 from repro.bayesopt.space import Categorical, Dimension, Integer, Real, Space
 from repro.errors import ValidationError
 from repro.faults import FaultInjector, FaultSpec
@@ -143,6 +145,7 @@ class OptimizerConf:
             raise ValidationError("trial_timeout_s must be > 0")
         if self.checkpoint_every < 1:
             raise ValidationError("checkpoint_every must be >= 1")
+        self._validate_algorithm()
         if self.serve is not None:
             from repro.observability.live import parse_serve_spec
 
@@ -153,6 +156,24 @@ class OptimizerConf:
             self.build_watchdog()  # validate thresholds early
         if self.eval_cache:
             self.build_eval_cache()  # validate the block early
+
+    def _validate_algorithm(self) -> None:
+        """Reject every unknown ``algorithm`` key at once, before any build.
+
+        The known keys are ``search``, :class:`SurrogateSearch`'s
+        ``batch_size`` and the keyword knobs of
+        :class:`repro.bayesopt.Optimizer` (the search space comes from
+        ``variables``, not from this block).
+        """
+        known = {"search", "batch_size"} | set(
+            inspect.signature(Optimizer).parameters
+        ) - {"dimensions"}
+        unknown = sorted(set(self.algorithm) - known)
+        if unknown:
+            raise ValidationError(
+                f"unknown optimizer_conf algorithm keys: {unknown} "
+                f"(known: {sorted(known)})"
+            )
 
     # -- constructors ----------------------------------------------------------------
 
@@ -203,7 +224,7 @@ class OptimizerConf:
     def build_search(self, space: Space) -> SearchAlgorithm:
         """Build the search algorithm from the ``algorithm`` block.
 
-        Unrecognized keys forward to :class:`SurrogateSearch` and on to
+        The other keys forward to :class:`SurrogateSearch` and on to
         :class:`repro.bayesopt.Optimizer`, so the suggest hot-path knobs —
         ``batch_size``, ``refit_every``, ``incremental`` and
         ``background_refit`` — are all configurable here.

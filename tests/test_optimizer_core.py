@@ -107,6 +107,21 @@ class TestOptimizerConf:
         with pytest.raises(ValidationError, match="unknown optimizer_conf keys"):
             OptimizerConf.from_dict(self._conf_dict(banana=1))
 
+    def test_unknown_algorithm_keys_rejected_together(self):
+        # Every unknown key is named in one error, at the conf boundary,
+        # not as a TypeError from the optimizer at build time.
+        with pytest.raises(ValidationError) as info:
+            OptimizerConf.from_dict(
+                self._conf_dict(algorithm={"bogus": 1, "keep_modelz": 3})
+            )
+        message = str(info.value)
+        assert "unknown optimizer_conf algorithm keys" in message
+        assert "'bogus'" in message and "'keep_modelz'" in message
+        conf = OptimizerConf.from_dict(
+            self._conf_dict(algorithm={"batch_size": 2, "refit_every": 4, "search": "surrogate"})
+        )
+        assert conf.build_search(conf.build_space()).batch_size == 2
+
     def test_unknown_variable_type(self):
         with pytest.raises(ValidationError):
             OptimizerConf.from_dict(

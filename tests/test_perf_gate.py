@@ -1,13 +1,15 @@
 """Tests for the perf baseline store and the regression gate.
 
 The gate must diff clean on identical runs, fail on an injected 2x
-suggest-latency regression, and understand every profile source it
-claims to (perf_profile.json, run directories, BENCH result JSONs).
+suggest-latency regression, and read the one source shape it accepts: an
+``ops`` block of digests (perf_profile.json, run directories) or raw
+samples (e2ebench and BENCH_*.json records).
 """
 
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,19 @@ from repro.observability.perf import (
     load_profile,
     record_baseline,
 )
+
+BASELINES = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
+
+#: the ops the CI perf-gate compares, per committed baseline.
+GATED_OPS = {
+    "BENCH_campaign.json": {
+        f"{arm}.{op}" for arm in ("baseline", "fast", "flat") for op in ("suggest", "tell", "trial")
+    } | {"flat.suggest_tail"},
+    "BENCH_eval.json": {
+        "campaign.baseline.trial", "campaign.fast.trial", "des.fast.event", "des.legacy.event",
+    },
+    "BENCH_hybrid.json": {"hybrid.window", "des.request"},
+}
 
 
 def _profile(tmp_path, name, *, scale=1.0, n=200, seed=9):
@@ -44,45 +59,56 @@ class TestLoadProfile:
         assert by_dir["suggest"].digest is not None
         assert math.isfinite(by_dir["suggest"].value("p90"))
 
-    def test_loads_bench_campaign_shape(self, tmp_path):
+    def test_loads_e2ebench_record(self, tmp_path):
+        # the trace-0 record shape e2ebench/run.py writes: raw samples per op
+        record = {
+            "benchmark": "e2ebench",
+            "workload": "table3",
+            "host": {"cpu_count": 4},
+            "ops": {
+                "wall": {"unit": "s", "count": 1, "samples": [6.0]},
+                "suggest": {"unit": "s", "count": 4, "samples": [0.4, 0.1, 0.3, 0.2]},
+                "evaluate": {"unit": "s", "count": 2, "samples": [0.5, 0.7]},
+                "tell": {"unit": "s", "count": 3, "samples": [0.001, 0.003, 0.002]},
+            },
+        }
+        path = tmp_path / "table3-seed2021-trace0.json"
+        path.write_text(json.dumps(record))
+        ops = load_profile(path)
+        assert set(ops) == {"wall", "suggest", "evaluate", "tell"}
+        assert ops["suggest"].samples == [0.4, 0.1, 0.3, 0.2]
+        assert ops["suggest"].count == 4
+        assert ops["suggest"].value("p50") == pytest.approx(0.25)
+        assert ops["suggest"].value("mean") == pytest.approx(0.25)
+        assert ops["wall"].value("p90") == pytest.approx(6.0)
+        assert ops["tell"].value("p99") == pytest.approx(0.00298)
+        assert diff_profiles(path, path).ok
+
+    def test_non_second_unit_rejected_with_op_name(self, tmp_path):
+        path = tmp_path / "bad_unit.json"
+        path.write_text(json.dumps({
+            "ops": {
+                "tell": {"unit": "s", "count": 1, "samples": [0.1]},
+                "events": {"unit": "count", "count": 1, "samples": [12.0]},
+            }
+        }))
+        with pytest.raises(ValidationError, match="'events'"):
+            load_profile(path)
+
+    def test_old_bench_shape_rejected(self, tmp_path):
+        # BENCH_*.json before the ops block: per-arm percentile blocks only
         payload = {
             "baseline": {
                 "trials": 500,
                 "wall_s": 10.0,
                 "suggest": {"p50_ms": 2.0, "p90_ms": 4.0, "p99_ms": 8.0},
-                "tell": {"p50_ms": 0.5, "p90_ms": 1.0, "p99_ms": 2.0},
             },
             "n_trials": 500,
         }
         path = tmp_path / "BENCH_campaign.json"
         path.write_text(json.dumps(payload))
-        ops = load_profile(path)
-        assert ops["baseline.suggest"].value("p50") == pytest.approx(0.002)
-        assert ops["baseline.trial"].value("mean") == pytest.approx(0.02)
-
-    def test_loads_bench_eval_shape(self, tmp_path):
-        payload = {
-            "campaign": {"fast": {"trials": 16, "wall_s": 8.0}},
-            "des": {"fast": {"events_per_sec": 50_000.0}},
-        }
-        path = tmp_path / "BENCH_eval.json"
-        path.write_text(json.dumps(payload))
-        ops = load_profile(path)
-        assert ops["campaign.fast.trial"].value("mean") == pytest.approx(0.5)
-        assert ops["des.fast.event"].value("mean") == pytest.approx(2e-5)
-
-    def test_loads_bench_hybrid_shape(self, tmp_path):
-        # carries a "des" arm too — must be sniffed as hybrid, not eval
-        payload = {
-            "hybrid": {"wall_s": 0.8, "des_epochs": 32},
-            "des": {"wall_s": 80.0, "completed": 1_000_000},
-            "speedup": 100.0,
-        }
-        path = tmp_path / "BENCH_hybrid.json"
-        path.write_text(json.dumps(payload))
-        ops = load_profile(path)
-        assert ops["hybrid.window"].value("mean") == pytest.approx(0.025)
-        assert ops["des.request"].value("mean") == pytest.approx(8e-5)
+        with pytest.raises(ValidationError, match="no 'ops' block"):
+            load_profile(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -96,12 +122,66 @@ class TestLoadProfile:
             load_profile(tmp_path / "missing.json")
 
     def test_committed_baselines_parse(self):
-        from pathlib import Path
+        for name, wanted in GATED_OPS.items():
+            ops = load_profile(BASELINES / name)
+            missing = wanted - set(ops)
+            assert not missing, (name, sorted(missing))
+            for op in wanted:
+                assert ops[op].samples, (name, op)
+                assert ops[op].value("p50") > 0, (name, op)
 
-        baselines = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
-        for name in ("BENCH_campaign.json", "BENCH_eval.json", "BENCH_hybrid.json"):
-            ops = load_profile(baselines / name)
-            assert ops, name
+
+@pytest.mark.parametrize(
+    "name,op", [(name, op) for name, ops in GATED_OPS.items() for op in sorted(ops)]
+)
+def test_committed_baseline_gates_a_4_5x_shift(tmp_path, name, op):
+    # the CI gate (--threshold 3.0) must fail when one gated op's samples
+    # grow 4.5x and every other op is unchanged
+    doc = json.loads((BASELINES / name).read_text())
+    doc["ops"][op]["samples"] = [4.5 * v for v in doc["ops"][op]["samples"]]
+    scaled = tmp_path / name
+    scaled.write_text(json.dumps(doc))
+    diff = diff_profiles(BASELINES / name, scaled, threshold=3.0)
+    assert {row["op"] for row in diff.regressions} == {op}
+    assert main(["perf", "diff", str(BASELINES / name), str(scaled), "--threshold", "3.0"]) == 1
+
+
+class TestRawSampleBootstrap:
+    @staticmethod
+    def _record(tmp_path, name, samples):
+        path = tmp_path / name
+        path.write_text(json.dumps(
+            {"ops": {"suggest": {"unit": "s", "count": len(samples), "samples": samples}}}
+        ))
+        return path
+
+    def test_identical_samples_diff_clean(self, tmp_path):
+        rng = random.Random(3)
+        samples = [rng.uniform(0.008, 0.012) for _ in range(120)]
+        path = self._record(tmp_path, "base.json", samples)
+        diff = diff_profiles(path, path, threshold=0.25)
+        assert diff.ok
+        assert [row["verdict"] for row in diff.rows] == ["ok", "ok"]
+
+    def test_2x_shift_fails(self, tmp_path):
+        rng = random.Random(3)
+        samples = [rng.uniform(0.008, 0.012) for _ in range(120)]
+        base = self._record(tmp_path, "base.json", samples)
+        slow = self._record(tmp_path, "slow.json", [2.0 * v for v in samples])
+        diff = diff_profiles(base, slow, threshold=0.25)
+        assert not diff.ok
+        assert {row["stat"] for row in diff.regressions} == {"p50", "p90"}
+        # the bootstrap ran on the raw samples and confirmed the shift
+        assert all(row["significant"] is True for row in diff.regressions)
+
+    def test_bootstrap_rejects_a_noise_shift(self, tmp_path):
+        # one outlier moves the p90 point ratio past the threshold, but
+        # resampling the raw samples shows the shift is not significant
+        base = self._record(tmp_path, "base.json", [0.01] * 27 + [0.05] * 3)
+        cand = self._record(tmp_path, "cand.json", [0.01] * 26 + [0.05] * 4)
+        diff = diff_profiles(base, cand, threshold=0.25, stats=("p90",))
+        assert diff.ok
+        assert [row["verdict"] for row in diff.rows] == ["noise"]
 
 
 class TestRecordBaseline:
@@ -114,6 +194,16 @@ class TestRecordBaseline:
         assert ops["suggest"].digest is not None
         # recorded baseline diffs clean against its own source
         assert diff_profiles(out, run_dir).ok
+
+    def test_roundtrip_keeps_raw_samples(self, tmp_path):
+        source = tmp_path / "record.json"
+        samples = [0.01 * (i % 7 + 1) for i in range(30)]
+        source.write_text(json.dumps(
+            {"ops": {"tell": {"unit": "s", "count": 30, "samples": samples}}}
+        ))
+        out = record_baseline(source, tmp_path / "baseline.json")
+        assert load_profile(out)["tell"].samples == samples
+        assert diff_profiles(out, source).ok
 
 
 class TestDiffProfiles:
