@@ -84,6 +84,62 @@ class TestLoadProfile:
         assert ops["tell"].value("p99") == pytest.approx(0.00298)
         assert diff_profiles(path, path).ok
 
+    def test_loads_bench_campaign_shape(self, tmp_path):
+        # per-arm percentile blocks ride along; only the ops block is read
+        payload = {
+            "baseline": {
+                "opt_time_s": 10.0,
+                "suggest": {"p50_ms": 2.0, "p90_ms": 4.0, "p99_ms": 8.0},
+            },
+            "n_trials": 3,
+            "ops": {
+                "baseline.suggest": {"unit": "s", "count": 3, "samples": [0.001, 0.002, 0.003]},
+                "baseline.tell": {"unit": "s", "count": 2, "samples": [0.0005, 0.0005]},
+                "baseline.trial": {"unit": "s", "count": 1, "samples": [0.02]},
+            },
+        }
+        path = tmp_path / "BENCH_campaign.json"
+        path.write_text(json.dumps(payload))
+        ops = load_profile(path)
+        assert set(ops) == {"baseline.suggest", "baseline.tell", "baseline.trial"}
+        assert ops["baseline.suggest"].value("p50") == pytest.approx(0.002)
+        assert ops["baseline.trial"].value("mean") == pytest.approx(0.02)
+
+    def test_loads_bench_eval_shape(self, tmp_path):
+        payload = {
+            "campaign": {"fast": {"trials": 16, "wall_s": 8.0}},
+            "des": {"fast": {"events_per_sec": 50_000.0}},
+            "ops": {
+                "campaign.fast.trial": {"unit": "s", "count": 1, "samples": [0.5]},
+                "des.fast.event": {"unit": "s", "count": 3, "samples": [1e-5, 2e-5, 3e-5]},
+            },
+        }
+        path = tmp_path / "BENCH_eval.json"
+        path.write_text(json.dumps(payload))
+        ops = load_profile(path)
+        assert set(ops) == {"campaign.fast.trial", "des.fast.event"}
+        assert ops["campaign.fast.trial"].value("mean") == pytest.approx(0.5)
+        assert ops["des.fast.event"].value("mean") == pytest.approx(2e-5)
+        assert ops["des.fast.event"].count == 3
+
+    def test_loads_bench_hybrid_shape(self, tmp_path):
+        # carries a "des" arm next to the ops block; op names come from ops only
+        payload = {
+            "hybrid": {"wall_s": 0.8, "des_epochs": 32},
+            "des": {"wall_s": 80.0, "completed": 1_000_000},
+            "speedup": 100.0,
+            "ops": {
+                "hybrid.window": {"unit": "s", "count": 1, "samples": [0.025]},
+                "des.request": {"unit": "s", "count": 1, "samples": [8e-5]},
+            },
+        }
+        path = tmp_path / "BENCH_hybrid.json"
+        path.write_text(json.dumps(payload))
+        ops = load_profile(path)
+        assert set(ops) == {"hybrid.window", "des.request"}
+        assert ops["hybrid.window"].value("mean") == pytest.approx(0.025)
+        assert ops["des.request"].value("mean") == pytest.approx(8e-5)
+
     def test_non_second_unit_rejected_with_op_name(self, tmp_path):
         path = tmp_path / "bad_unit.json"
         path.write_text(json.dumps({
