@@ -163,8 +163,18 @@ class OptimizerConf:
         The known keys are ``search``, :class:`SurrogateSearch`'s
         ``batch_size`` and the keyword knobs of
         :class:`repro.bayesopt.Optimizer` (the search space comes from
-        ``variables``, not from this block).
+        ``variables``, not from this block). Random search takes none of
+        them, so under ``"search": "random"`` every other key is rejected.
         """
+        kind = self.algorithm.get("search", "surrogate")
+        if isinstance(kind, str) and kind.lower() == "random":
+            extra = sorted(set(self.algorithm) - {"search"})
+            if extra:
+                raise ValidationError(
+                    f"optimizer_conf algorithm keys {extra} do not apply to random "
+                    "search, which takes only 'search'"
+                )
+            return
         known = {"search", "batch_size"} | set(
             inspect.signature(Optimizer).parameters
         ) - {"dimensions"}

@@ -41,6 +41,13 @@ __all__ = ["PlantNetScenario", "ScenarioResult"]
 CLIENT_NODES: dict[str, int] = {"chiclet": 8, "chetemi": 13, "chifflet": 8, "gros": 12}
 
 
+def _check_repetitions(repetitions: int) -> int:
+    """The repetition count as an int, rejected below one."""
+    if repetitions < 1:
+        raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
+    return int(repetitions)
+
+
 @dataclass
 class ScenarioResult:
     """Aggregated outcome of one scenario campaign (all repetitions)."""
@@ -103,7 +110,7 @@ class PlantNetScenario:
         self.duration = float(duration)
         self.warmup = float(warmup)
         self.sample_interval = float(sample_interval)
-        self.repetitions = int(max(1, repetitions))
+        self.repetitions = _check_repetitions(repetitions)
         self.base_seed = int(base_seed)
         self.use_testbed = use_testbed
         #: keep the deployment alive between runs and morph it via
@@ -310,7 +317,7 @@ class PlantNetScenario:
         seed: int | None = None,
     ) -> ScenarioResult:
         """Deploy (for provenance) and simulate all repetitions."""
-        reps = self.repetitions if repetitions is None else max(1, int(repetitions))
+        reps = self.repetitions if repetitions is None else _check_repetitions(repetitions)
         duration = self.duration if duration is None else float(duration)
         base_seed = self.base_seed if seed is None else int(seed)
 

@@ -1,12 +1,16 @@
 """CART regression tree with exhaustive or randomized split selection.
 
-One implementation serves three estimators:
+One tree type serves three estimators:
 
 - ``splitter="best"`` → classic CART (scan every threshold) — used by
-  :class:`~repro.surrogate.forest.RandomForestRegressor` and standalone.
+  :class:`~repro.surrogate.forest.RandomForestRegressor`, gradient
+  boosting and standalone. It grows one node at a time from Python lists.
 - ``splitter="random"`` → one uniform-random threshold per candidate
   feature — the *extremely randomized* split rule of Extra-Trees
-  (Geurts et al. 2006), the paper's surrogate of choice.
+  (Geurts et al. 2006), the paper's surrogate of choice. These trees are
+  grown by :func:`grow_random_trees`, all trees of a forest in lockstep,
+  with the splits of one step chosen by a few numpy operations; each
+  tree is bit-identical to growing it alone (DESIGN §9.2).
 
 The tree is stored in parallel arrays (children, feature, threshold, value),
 which keeps prediction a tight loop and makes ``apply()`` (leaf indices,
@@ -16,7 +20,6 @@ needed by gradient boosting's leaf re-estimation) trivial.
 from __future__ import annotations
 
 from itertools import compress
-from math import isfinite
 from numbers import Integral
 from operator import itemgetter, not_
 from typing import Any, Literal
@@ -109,23 +112,26 @@ class DecisionTreeRegressor(SurrogateModel):
     # -- construction -------------------------------------------------------------
 
     def fit(self, X: Any, y: Any) -> "DecisionTreeRegressor":
-        """Grow the tree depth-first from per-fit Python lists.
+        """Grow the tree depth-first; the right child is expanded first.
 
-        Nodes carry their sample indices as lists, and each candidate
-        feature's values are gathered once per node, so the per-node work
-        is a handful of list passes instead of dozens of numpy calls on
-        tiny arrays. The construction is exact: a node's value is
+        The ``"random"`` splitter is :func:`grow_random_trees` with this
+        tree's stream alone. The ``"best"`` splitter grows from per-fit
+        Python lists: nodes carry their sample indices as lists, and each
+        candidate feature's values are gathered once per node, so the
+        per-node work is a handful of list passes instead of dozens of
+        numpy calls on tiny arrays. A node's value is
         ``np.add.reduce(y[idx]) / n``, which is how ``ndarray.mean``
-        computes it, and the split rules choose exactly the splits of the
-        plain numpy formulation (DESIGN §9.1 has the argument).
+        computes it (DESIGN §9.1).
         """
         X, y = check_fit_inputs(X, y)
+        if self.splitter == "random":
+            grow_random_trees([self], X, y)
+            return self
         n_features = X.shape[1]
         self.n_features_ = n_features
         k = self._n_candidate_features()
         columns = X.T.tolist()
         y_list = y.tolist()
-        split_node = self._random_split if self.splitter == "random" else self._best_split
         rng = self._rng
         all_features = range(n_features)
         min_split = max(self.min_samples_split, 2 * self.min_samples_leaf)
@@ -175,7 +181,7 @@ class DecisionTreeRegressor(SurrogateModel):
                     candidates.append((feature, values, lo, hi))
             if not candidates:
                 continue
-            split = split_node(candidates, y_node)
+            split = self._best_split(candidates, y_node)
             if split is None:
                 continue
             feature, threshold, goes_left = split
@@ -206,79 +212,6 @@ class DecisionTreeRegressor(SurrogateModel):
                 f"{self.n_features_} features of the training data"
             )
         return int(self.max_features)
-
-    def _random_split(
-        self,
-        candidates: list[tuple[int, tuple[float, ...], float, float]],
-        y_node: tuple[float, ...],
-    ) -> tuple[int, float, list[bool]] | None:
-        """Extra-Trees rule: one uniform threshold per candidate feature,
-        keep the first candidate of least SSE.
-
-        ``rng.random(m)`` gives the same doubles (and leaves the stream in
-        the same state) as ``m`` scalar ``rng.uniform(lo, hi)`` draws, which
-        compute ``lo + (hi - lo) * u``. Candidates are scored in plain
-        Python on ``y`` centred at the node; only candidates whose score
-        lies within a forward-error bound of the best are re-scored with
-        the exact numpy expression, so the choice is the one that
-        expression makes.
-        """
-        n = len(y_node)
-        min_leaf = self.min_samples_leaf
-        for feature, _, lo, hi in candidates:
-            if not isfinite(hi - lo):
-                raise ValidationError(f"the range of feature {feature} overflows a double")
-        draws = self._rng.random(len(candidates)).tolist()
-        valid = []  # (feature, threshold, goes_left, n_left)
-        for (feature, values, lo, hi), u in zip(candidates, draws):
-            threshold = lo + (hi - lo) * u
-            goes_left = [v <= threshold for v in values]
-            n_left = goes_left.count(True)
-            if min_leaf <= n_left <= n - min_leaf:
-                valid.append((feature, threshold, goes_left, n_left))
-        if not valid:
-            return None
-
-        # Equal and mirrored partitions score bit-equal in numpy (float
-        # ``+`` commutes), so only the first candidate of each can win.
-        distinct = []  # (candidate, its partition mirrored)
-        for candidate in valid:
-            goes_left = candidate[2]
-            for seen, flip in distinct:
-                if goes_left == seen[2] or goes_left == flip:
-                    break
-            else:
-                distinct.append((candidate, list(map(not_, goes_left))))
-        if len(distinct) == 1:
-            return valid[0][:3]
-
-        mean = sum(y_node) / n
-        dev = [v - mean for v in y_node]
-        dev2 = [v * v for v in dev]
-        scores = []
-        for (_, _, goes_left, n_left), goes_right in distinct:
-            scores.append(
-                sum(compress(dev2, goes_left))
-                - sum(compress(dev, goes_left)) ** 2 / n_left
-                + sum(compress(dev2, goes_right))
-                - sum(compress(dev, goes_right)) ** 2 / (n - n_left)
-            )
-        y_max = max(max(y_node), -min(y_node))
-        limit = (
-            min(scores)
-            + 1e-9 * sum(dev2)
-            + 16.0 * n * n * _EPS * y_max * y_max
-            + 64.0 * n * _TINY
-        )
-        if isfinite(limit):
-            near = [c for (c, _), s in zip(distinct, scores) if s <= limit]
-        else:  # the scores overflowed: compare every partition exactly
-            near = [c for c, _ in distinct]
-        if len(near) > 1:
-            y_arr = np.asarray(y_node)
-            exact = [_exact_sse(y_arr, np.asarray(c[2])) for c in near]
-            return near[exact.index(min(exact))][:3]
-        return near[0][:3]
 
     def _best_split(
         self,
@@ -424,3 +357,266 @@ class DecisionTreeRegressor(SurrogateModel):
                 raise ValidationError(f"node {leaf} is not a leaf")
             self.value_[leaf] = float(value)
         self._finalize()
+
+
+# -- Extra-Trees: every tree of a fit grown in lockstep -------------------------------
+
+
+def grow_random_trees(trees: list[DecisionTreeRegressor], X: np.ndarray, y: np.ndarray) -> None:
+    """Grow ``splitter="random"`` trees on the same checked data in lockstep.
+
+    All ``trees`` share their parameters; each draws from its own ``_rng``.
+    Every step pops the next node of every tree that still has one, in
+    that tree's own depth-first order (right child first), and chooses
+    all of their splits with one set of numpy operations on the nodes'
+    sample blocks, padded to the largest. A tree's draws, split choices
+    and node values are those of growing it alone, one node at a time
+    (DESIGN §9.2 has the argument):
+
+    - each tree's samples live in one permutation of ``0..n-1`` in which
+      every node owns a segment, ascending when the node is popped; a
+      split partitions the segment stably, left samples first;
+    - only nodes that will draw are pushed: enough samples, below
+      ``max_depth`` and a non-constant ``y``;
+    - without feature subsampling a tree's draws are one ``random(L)``
+      block read in node order; the stream is then reset and advanced by
+      exactly the number of doubles used, so it ends where per-node
+      ``random(m)`` calls leave it. With subsampling each node calls
+      ``choice`` and then ``random(m)`` on its tree's stream;
+    - node values are summed at the end, over each node's samples in
+      ascending order, with one row-wise ``np.add.reduce`` per node size.
+    """
+    n, n_features = X.shape
+    for tree in trees:
+        tree.n_features_ = n_features
+    first = trees[0]
+    k = first._n_candidate_features()
+    min_leaf = first.min_samples_leaf
+    min_split = max(first.min_samples_split, 2 * min_leaf)
+    max_depth = n if first.max_depth is None else first.max_depth
+    rngs = [tree._rng for tree in trees]
+    n_trees = len(trees)
+    subsample = k < n_features
+
+    max_nodes = 2 * n - 1
+    perm = np.tile(np.arange(n), (n_trees, 1))
+    left = np.full((n_trees, max_nodes), _LEAF)
+    right = np.full((n_trees, max_nodes), _LEAF)
+    feature = np.full((n_trees, max_nodes), _LEAF)
+    threshold = np.full((n_trees, max_nodes), np.nan)
+    start = np.zeros((n_trees, max_nodes), dtype=np.intp)
+    count = np.zeros((n_trees, max_nodes), dtype=np.intp)
+    depth = np.zeros((n_trees, max_nodes), dtype=np.intp)
+    count[:, 0] = n
+    n_nodes = np.ones(n_trees, dtype=np.intp)
+    # Per-tree stacks of node ids; only nodes that will draw are pushed.
+    stack = np.zeros((n_trees, n + 1), dtype=np.intp)
+    size = np.zeros(n_trees, dtype=np.intp)
+    if n >= min_split and y.min() != y.max():
+        size[:] = 1
+
+    # Feature f of sample i sits at f * n + i.
+    x_flat = np.ascontiguousarray(X.T).ravel()
+    column = (np.arange(n_features) * n)[:, None]
+    order = None  # the candidate features of each node, when subsampled
+    earlier = np.triu(np.ones((k, k), dtype=bool), 1)  # [i, j]: i before j
+    states = [] if subsample else [rng.bit_generator.state for rng in rngs]
+    used = np.zeros(n_trees, dtype=np.intp)
+    try:
+        if not subsample:
+            # A node draws at most one double per feature.
+            draws = np.stack([rng.random(max_nodes * n_features) for rng in rngs])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            while True:
+                active = size.nonzero()[0]
+                if not active.size:
+                    break
+                size[active] -= 1
+                node = stack[active, size[active]]
+                seg_start = start[active, node]
+                seg_count = count[active, node]
+                offsets = np.arange(seg_count.max())
+                inside = offsets < seg_count[:, None]
+                # Padding repeats a segment's last sample: its ranges stay as they are.
+                last = seg_start + seg_count - 1
+                slots = np.minimum(seg_start[:, None] + offsets, last[:, None])
+                samples = perm[active[:, None], slots]
+                if subsample:
+                    order = np.array(
+                        [rngs[t].choice(n_features, size=k, replace=False) for t in active]
+                    )
+                    xs = x_flat[(order * n)[:, :, None] + samples[:, None, :]]
+                else:
+                    xs = x_flat[column + samples[:, None, :]]
+                lo = xs.min(-1)
+                hi = xs.max(-1)
+                span = hi - lo
+                overflow = ~np.isfinite(span)
+                if overflow.any():
+                    p, j = np.argwhere(overflow)[0]
+                    bad = j if order is None else order[p, j]
+                    raise ValidationError(f"the range of feature {bad} overflows a double")
+                candidate = span > 0
+                n_cand = candidate.sum(1)
+                if subsample:
+                    u = np.zeros(candidate.shape)
+                    for p in n_cand.nonzero()[0]:
+                        u[p, candidate[p]] = rngs[active[p]].random(n_cand[p])
+                else:
+                    # A non-candidate reads a neighbouring draw that nothing uses.
+                    u = draws[active[:, None], used[active, None] + candidate.cumsum(1) - 1]
+                    used[active] += n_cand
+                thr = lo + span * u
+                goes_left = (xs <= thr[:, :, None]) & inside[:, None, :]
+                n_left = goes_left.sum(-1)
+                valid = (
+                    candidate
+                    & (n_left >= min_leaf)
+                    & (seg_count[:, None] - n_left >= min_leaf)
+                )
+                split = valid.any(1).nonzero()[0]
+                if not split.size:
+                    continue
+                y_block = y[samples[split]]
+                ins = inside[split]
+                n_seg = seg_count[split]
+                choice = _choose_splits(
+                    y_block, ins, n_seg, goes_left[split], n_left[split], valid[split], earlier
+                )
+
+                t = active[split]
+                parent = node[split]
+                goes = goes_left[split, choice]
+                n_l = n_left[split, choice]
+                feature[t, parent] = choice if order is None else order[split, choice]
+                threshold[t, parent] = thr[split, choice]
+                # Stable partition of each segment: left samples, right samples, padding.
+                part = np.argsort(~goes, axis=1, kind="stable")
+                moved = samples[split[:, None], part]
+                perm[t.repeat(n_seg), slots[split][ins]] = moved[ins]
+                child = n_nodes[t]
+                n_nodes[t] += 2
+                left[t, parent] = child
+                right[t, parent] = child + 1
+                child_depth = depth[t, parent] + 1
+                start[t, child] = seg_start[split]
+                start[t, child + 1] = seg_start[split] + n_l
+                count[t, child] = n_l
+                count[t, child + 1] = n_seg - n_l
+                depth[t, child] = child_depth
+                depth[t, child + 1] = child_depth
+                # Push the children that will draw, left first so the right pops first.
+                sides = np.array([goes, ins & ~goes])
+                varies = np.where(sides, y_block, np.inf).min(-1) != np.where(
+                    sides, y_block, -np.inf
+                ).max(-1)
+                push = varies & (np.array([n_l, n_seg - n_l]) >= min_split)
+                push &= child_depth < max_depth
+                for side in (0, 1):
+                    tree_ids = t[push[side]]
+                    stack[tree_ids, size[tree_ids]] = child[push[side]] + side
+                    size[tree_ids] += 1
+    finally:
+        # Leave each stream where per-node random(m) calls would have.
+        for rng, state, n_used in zip(rngs, states, used):
+            rng.bit_generator.state = state
+            rng.random(n_used)
+
+    value = _node_values(perm, start, count, n_nodes, y)
+    end = 0
+    for t, tree in enumerate(trees):
+        m = int(n_nodes[t])
+        tree.children_left_ = left[t, :m].tolist()
+        tree.children_right_ = right[t, :m].tolist()
+        tree.feature_ = feature[t, :m].tolist()
+        tree.threshold_ = threshold[t, :m].tolist()
+        tree.value_ = value[end : end + m].tolist()
+        tree.n_node_samples_ = count[t, :m].tolist()
+        end += m
+        tree._finalize()
+
+
+def _choose_splits(
+    y_block: np.ndarray,
+    inside: np.ndarray,
+    n: np.ndarray,
+    goes_left: np.ndarray,
+    n_left: np.ndarray,
+    valid: np.ndarray,
+    earlier: np.ndarray,
+) -> np.ndarray:
+    """Index of the chosen candidate of each node: the first of least numpy SSE.
+
+    Rows are nodes with at least one valid candidate: ``y_block`` holds
+    each node's ``n`` targets in ascending sample order, padded past
+    ``inside`` by repeating the last. Equal and mirrored partitions score bit-equal in numpy, so
+    only the first of each can win, and a node whose valid candidates all
+    share one partition takes the first. Otherwise every partition is
+    screened with a centred score, and only those within its forward-error
+    bound of the least are re-scored with the exact numpy expression
+    (DESIGN §9.1).
+    """
+    choice = valid.argmax(1)
+    # Flip each partition so that the node's first sample goes left; equal
+    # and mirrored partitions then pack to the same bytes.
+    canon = np.packbits(goes_left ^ (inside[:, None, :] & ~goes_left[:, :, :1]), axis=-1)
+    twin = (canon[:, :, None, :] == canon[:, None, :, :]).all(-1)
+    distinct = valid & ~(twin & valid[:, :, None] & earlier).any(1)
+    several = (distinct.sum(1) > 1).nonzero()[0]
+    if not several.size:
+        return choice
+    y_block = y_block[several]
+    inside = inside[several]
+    n = n[several]
+    goes_left = goes_left[several]
+    n_left = n_left[several]
+    distinct = distinct[several]
+    mean = np.where(inside, y_block, 0.0).sum(1) / n
+    dev = np.where(inside, y_block - mean[:, None], 0.0)[:, None, :]
+    total = (dev * dev).sum(-1)
+    s_l = np.where(goes_left, dev, 0.0).sum(-1)
+    s_r = np.where(goes_left, 0.0, dev).sum(-1)
+    # Within-child SSE = Σd² - (Σ_left d)²/n_left - (Σ_right d)²/n_right.
+    score = total - s_l**2 / n_left - s_r**2 / (n[:, None] - n_left)
+    y_max = np.abs(y_block).max(1)
+    limit = (
+        np.where(distinct, score, np.inf).min(1)
+        + 1e-9 * total[:, 0]
+        + 16.0 * n * n * _EPS * y_max * y_max
+        + 64.0 * n * _TINY
+    )
+    # Where the scores overflowed, every partition is compared exactly.
+    near = distinct & ((score <= limit[:, None]) | ~np.isfinite(limit)[:, None])
+    choice[several] = near.argmax(1)
+    for row in (near.sum(1) > 1).nonzero()[0]:
+        m = n[row]
+        y_node = y_block[row, :m]
+        candidates = near[row].nonzero()[0]
+        exact = [_exact_sse(y_node, goes_left[row, j, :m]) for j in candidates]
+        choice[several[row]] = candidates[exact.index(min(exact))]
+    return choice
+
+
+def _node_values(
+    perm: np.ndarray, start: np.ndarray, count: np.ndarray, n_nodes: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Every node's mean, tree by tree, as ``np.add.reduce(y[idx]) / n``.
+
+    A node's samples are its segment of its tree's permutation, sorted
+    back to ascending order (children reorder their parent's segment).
+    Nodes of one size are summed together: a row-wise ``np.add.reduce``
+    of an ``(m, c)`` block sums each row exactly as the 1-D reduce does.
+    """
+    used = np.arange(start.shape[1]) < n_nodes[:, None]
+    tree_of = np.broadcast_to(np.arange(len(n_nodes))[:, None], used.shape)[used]
+    starts = start[used]
+    counts = count[used]
+    value = np.empty(counts.size)
+    by_size = np.argsort(counts, kind="stable")
+    cuts = np.flatnonzero(np.diff(counts[by_size])) + 1
+    for group in np.split(by_size, cuts):
+        c = counts[group[0]]
+        block = perm[tree_of[group, None], starts[group, None] + np.arange(c)]
+        block.sort(axis=1)
+        value[group] = np.add.reduce(y[block], axis=1) / c
+    return value

@@ -122,6 +122,20 @@ class TestOptimizerConf:
         )
         assert conf.build_search(conf.build_space()).batch_size == 2
 
+    def test_random_search_rejects_optimizer_keys_together(self):
+        # Random search takes none of the optimizer's knobs; passing them
+        # (valid or not) is an error naming every one, not a silent drop.
+        with pytest.raises(ValidationError) as info:
+            OptimizerConf.from_dict(
+                self._conf_dict(
+                    algorithm={"search": "random", "acq_func": "nonsense", "refit_every": 4}
+                )
+            )
+        message = str(info.value)
+        assert "'acq_func'" in message and "'refit_every'" in message
+        conf = OptimizerConf.from_dict(self._conf_dict(algorithm={"search": "Random"}))
+        assert type(conf.build_search(conf.build_space())).__name__ == "RandomSearch"
+
     def test_unknown_variable_type(self):
         with pytest.raises(ValidationError):
             OptimizerConf.from_dict(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import ThreadPoolConfig
+from repro.errors import ValidationError
 from repro.plantnet import (
     BASELINE,
     PRELIMINARY_OPTIMUM,
@@ -93,6 +94,15 @@ class TestScenario:
         result = scenario.run(BASELINE, 40)
         assert result.deployment_manifest == []
         assert result.user_response_time.mean > 0
+
+    def test_zero_repetitions_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="repetitions"):
+            PlantNetScenario(repetitions=0)
+
+    def test_zero_repetitions_rejected_per_run(self):
+        scenario = PlantNetScenario(duration=150.0, use_testbed=False)
+        with pytest.raises(ValidationError, match="repetitions"):
+            scenario.run(BASELINE, 40, repetitions=0)
 
     def test_definition_reserves_paper_nodes(self, scenario):
         definition = scenario.definition(BASELINE, 80)
