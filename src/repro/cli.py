@@ -119,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--serve",
         metavar="[HOST:]PORT",
         default=None,
-        help="attach the live HTTP monitor (/metrics, /status, /events, "
-        "POST /telemetry) to the campaign; port 0 binds an ephemeral port "
-        "published in the run dir's monitor.json",
+        help="attach the read-only live HTTP monitor (/metrics, /status, "
+        "/events) to the campaign; port 0 binds an ephemeral port published "
+        "in the run dir's monitor.json",
     )
 
     p_wrk = sub.add_parser(
@@ -144,21 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_wrk.add_argument(
         "--max-trials", type=int, default=None, help="exit after completing this many trials"
-    )
-    p_wrk.add_argument(
-        "--push-telemetry",
-        metavar="URL",
-        nargs="?",
-        const="auto",
-        default=None,
-        help="stream per-trial telemetry to the campaign's live monitor "
-        "mid-campaign; 'auto' (the bare flag) discovers URL and token from "
-        "the run dir's monitor.json",
-    )
-    p_wrk.add_argument(
-        "--telemetry-token",
-        default=None,
-        help="ingest token for --push-telemetry (default: from monitor.json)",
     )
 
     p_sc = sub.add_parser("scenario", help="run one Pl@ntNet configuration")
@@ -325,19 +310,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     runner_id = args.runner_id or default_runner_id(
         str(store.meta.get("name", "")) or None
     )
-    push = None
-    if args.push_telemetry is not None:
-        from repro.errors import ValidationError
-        from repro.observability.live import TelemetryPusher
-
-        url = None if args.push_telemetry == "auto" else args.push_telemetry
-        try:
-            push = TelemetryPusher.from_run_dir(
-                run_dir, url=url, token=args.telemetry_token
-            )
-        except ValidationError as exc:
-            raise SystemExit(str(exc)) from exc
-        print(f"pushing telemetry to {push.url}", flush=True)
     # flush=True throughout: a worker's stdout is typically piped into a
     # log file or `tail -f`; block buffering would delay progress lines
     # until exit.
@@ -356,11 +328,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         idle_timeout_s=args.idle_timeout,
         max_trials=args.max_trials,
         on_trial=on_trial,
-        push=push,
     )
     print(f"worker {runner_id} done: {completed} trial(s) completed", flush=True)
-    if push is not None:
-        print(f"telemetry: {push.pushed} pushed, {push.errors} errors", flush=True)
     return 0
 
 

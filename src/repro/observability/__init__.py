@@ -9,7 +9,7 @@ carries no registry and no digests):
   reconfigure), every trial (suggest / execute / tell), the DES event loop
   and the engine's thread pools;
 - :mod:`repro.observability.metrics` — a counters/gauges/histograms registry
-  with JSON(L) and Prometheus-text exporters, derived from the spans: the
+  with JSON and Prometheus-text exporters, derived from the spans: the
   recording tracer feeds each finished span through one span → metric
   table (``SPAN_METRICS``) into ``tracer.metrics``;
 - :mod:`repro.observability.profile` — per-trial cost attribution (surrogate
@@ -28,19 +28,18 @@ carries no registry and no digests):
   one span-name → op table into ``tracer.perf``, exported as
   ``perf_profile.json`` plus Prometheus summary series;
 - :mod:`repro.observability.fabric` — the cross-process telemetry fabric:
-  process-pool workers record spans locally and the parent merges them
-  back with ``runner_id``/``pid`` attribution (deriving digests and
-  metrics from the worker spans there, once); payloads carry spans only;
+  process-pool and store workers record spans locally, ship them in each
+  trial's outcome, and the parent merges them under the trial span with
+  ``runner_id``/``pid`` attribution (deriving digests and metrics from the
+  worker spans there, once); payloads carry spans only;
 - :mod:`repro.observability.perf` — perf baselines and the regression gate
   (``python -m repro perf record|diff``);
 - :mod:`repro.observability.live` — the live telemetry plane: an embedded
   HTTP monitor (``optimize --serve``) exposing Prometheus ``/metrics``, a
   ``/status`` campaign document derived from the span stream, an SSE
-  ``/events`` stream, the live dashboard, and token-gated
-  ``POST /telemetry`` ingest for remote workers
-  (``python -m repro worker --push-telemetry``). It pulls in
+  ``/events`` stream and the live dashboard; it is read-only. It pulls in
   ``http.server`` and ``urllib``, so it is imported from its module, only
-  by code that serves or pushes, and is not re-exported here.
+  by code that serves or reads a monitor, and is not re-exported here.
 
 The process-global tracer is the only telemetry slot: its
 digests (``tracer.perf``), metrics (``tracer.metrics``) and attached
@@ -53,7 +52,7 @@ Typical use::
 
     from repro import observability as obs
 
-    tracer, registry = obs.enable()
+    tracer = obs.enable()
     ... run an OptimizationManager campaign ...
     obs.export(run_dir)       # spans.jsonl + metrics + perf + timeline + alerts
     obs.disable()
@@ -162,16 +161,16 @@ __all__ = [
 ]
 
 
-def enable() -> tuple[RecordingTracer, MetricsRegistry]:
-    """Install a recording tracer globally; returns it and its registry.
+def enable() -> RecordingTracer:
+    """Install a recording tracer globally and return it.
 
     The tracer's latency digests (``tracer.perf``) and metrics registry
-    (``tracer.metrics``, the second element) accumulate from its spans, so
-    every hot-path op is digested and metered as it finishes.
+    (``tracer.metrics``) accumulate from its spans, so every hot-path op is
+    digested and metered as it finishes.
     """
     tracer = RecordingTracer()
     set_tracer(tracer)
-    return tracer, tracer.metrics
+    return tracer
 
 
 def disable() -> None:

@@ -21,8 +21,10 @@ in three moves:
    and the live watchdog sees them too.
 
 The payload carries one record type, spans, as a plain dict of JSON types,
-so the same schema works over pickle (process pools) or the wire
-(``POST /telemetry`` pushes from store workers on other hosts). Merge
+so the same schema travels over pickle (process pools) and inside the
+store ledger's JSON trial outcomes (store workers, local or on other
+hosts). Either way it comes back in the trial's outcome, and the parent
+merges it once, under that trial's ``trial:<id>`` span. Merge
 accounting is self-observable: ``repro_fabric_merged_spans_total`` /
 ``repro_fabric_merge_dropped_total``.
 """

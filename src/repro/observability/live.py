@@ -17,16 +17,14 @@ run. The live plane attaches a stdlib :class:`ThreadingHTTPServer` to a
   *bounded* queue; a slow consumer drops events (counted) instead of ever
   blocking the campaign hot path;
 - ``GET /`` — the timeline dashboard in live mode (polls ``/status``,
-  subscribes to ``/events``);
-- ``POST /telemetry`` — token-authenticated ingest of telemetry-fabric
-  payloads, so ``python -m repro worker --push-telemetry URL`` on another
-  host streams spans back *mid-campaign* instead of only
-  embedding them in trial outcomes.
+  subscribes to ``/events``).
 
-The monitor writes a ``monitor.json`` discovery file into the run
-directory (URL + ingest token), so workers sharing the run dir — local or
-via a shared filesystem — auto-discover where to push. GET endpoints are
-unauthenticated (read-only); the token only gates ingest.
+The monitor is read-only: it answers GET and nothing else, so it guards no
+secret. Worker spans reach the parent one way, embedded in each trial's
+outcome (the store ledger's, for store workers) and merged under its
+``trial:<id>`` span (:mod:`repro.observability.fabric`). The monitor writes a ``monitor.json``
+discovery file (its URL) into the run directory, which
+``python -m repro monitor <run-dir>`` reads.
 
 Everything here is stdlib-only and the server runs on daemon threads, so a
 wedged client can never prevent campaign shutdown.
@@ -37,28 +35,23 @@ from __future__ import annotations
 import json
 import os
 import queue
-import secrets
 import socket
 import threading
 import time
-import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import ValidationError
-from repro.observability import fabric
 from repro.observability.trace import SCALAR_METRIC, get_tracer
 
 __all__ = [
     "MONITOR_FILE",
     "STATUS_SCHEMA",
-    "PUSH_SCHEMA",
     "StatusBoard",
     "parse_serve_spec",
     "LiveMonitor",
-    "TelemetryPusher",
     "fetch_status",
     "stream_events",
     "render_status_line",
@@ -68,11 +61,6 @@ __all__ = [
 MONITOR_FILE = "monitor.json"
 #: schema tag on ``/status`` documents and ``monitor.json``.
 STATUS_SCHEMA = "repro.live/1"
-#: schema tag on ``POST /telemetry`` envelope documents.
-PUSH_SCHEMA = "repro.live.push/1"
-
-#: request body ceiling for ``POST /telemetry`` (defensive bound).
-_MAX_BODY_BYTES = 32 * 1024 * 1024
 
 
 # -- campaign status board ------------------------------------------------------------
@@ -233,7 +221,6 @@ class LiveMonitor:
         run_dir: str | Path | None = None,
         name: str = "campaign",
         num_samples: int = 0,
-        token: str | None = None,
         sse_queue_size: int = 256,
         keepalive_s: float = 15.0,
     ) -> None:
@@ -243,8 +230,6 @@ class LiveMonitor:
         self.name = name
         #: the ``/status`` counts, fed from the span subscription.
         self.board = StatusBoard(name=name, num_samples=num_samples)
-        #: gates ``POST /telemetry``; GET endpoints stay open (read-only).
-        self.token = token or secrets.token_hex(16)
         self.sse_queue_size = int(sse_queue_size)
         self.keepalive_s = float(keepalive_s)
         self._server: ThreadingHTTPServer | None = None
@@ -256,9 +241,6 @@ class LiveMonitor:
         self._requests: dict[str, int] = {}
         self._events_sent = 0
         self._events_dropped = 0
-        self._telemetry_merges = 0
-        self._telemetry_spans = 0
-        self._telemetry_rejected = 0
         self._subscribed_tracer: Any = None
         self._subscribed_watchdog: Any = None
 
@@ -359,7 +341,6 @@ class LiveMonitor:
                 {
                     "schema": STATUS_SCHEMA,
                     "url": self.url,
-                    "token": self.token,
                     "pid": os.getpid(),
                     "started_unix": time.time(),
                     "closed": closed,
@@ -439,9 +420,6 @@ class LiveMonitor:
                 "sse_clients": sse_clients,
                 "sse_events_sent": self._events_sent,
                 "sse_events_dropped": self._events_dropped,
-                "telemetry_merges": self._telemetry_merges,
-                "telemetry_spans_merged": self._telemetry_spans,
-                "telemetry_rejected": self._telemetry_rejected,
             }
 
     def _render_self_metrics(self) -> str:
@@ -465,15 +443,6 @@ class LiveMonitor:
             "# HELP repro_live_events_dropped_total events dropped on full SSE queues",
             "# TYPE repro_live_events_dropped_total counter",
             f"repro_live_events_dropped_total {stats['sse_events_dropped']}",
-            "# HELP repro_live_telemetry_merges_total accepted POST /telemetry payloads",
-            "# TYPE repro_live_telemetry_merges_total counter",
-            f"repro_live_telemetry_merges_total {stats['telemetry_merges']}",
-            "# HELP repro_live_telemetry_spans_total spans merged via POST /telemetry",
-            "# TYPE repro_live_telemetry_spans_total counter",
-            f"repro_live_telemetry_spans_total {stats['telemetry_spans_merged']}",
-            "# HELP repro_live_telemetry_rejected_total rejected telemetry pushes",
-            "# TYPE repro_live_telemetry_rejected_total counter",
-            f"repro_live_telemetry_rejected_total {stats['telemetry_rejected']}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -517,36 +486,6 @@ class LiveMonitor:
         doc["spans_recorded"] = getattr(tracer, "spans_recorded", 0)
         doc["live"] = self.self_stats()
         return doc
-
-    def ingest(self, body: Mapping[str, Any]) -> tuple[int, int]:
-        """Merge one ``POST /telemetry`` body; returns (spans, payloads).
-
-        Accepts either a raw fabric payload (``repro.fabric/1``) or a push
-        envelope (``repro.live.push/1``) wrapping one ``payload`` or a list
-        of ``payloads`` plus optional merge ``attributes``.
-        """
-        attributes: dict[str, Any] | None = None
-        if body.get("schema") == PUSH_SCHEMA:
-            raw_attrs = body.get("attributes")
-            if isinstance(raw_attrs, Mapping):
-                attributes = dict(raw_attrs)
-            payloads = body.get("payloads")
-            if payloads is None:
-                payload = body.get("payload")
-                payloads = [payload] if payload is not None else []
-        else:
-            payloads = [body]
-        spans = 0
-        merged_payloads = 0
-        for payload in payloads:
-            if not isinstance(payload, Mapping):
-                continue
-            spans += fabric.merge_payload(payload, attributes=attributes)
-            merged_payloads += 1
-        with self._stats_lock:
-            self._telemetry_merges += merged_payloads
-            self._telemetry_spans += spans
-        return spans, merged_payloads
 
     def render_dashboard_html(self) -> str:
         """The ``GET /`` page: the timeline dashboard in live mode."""
@@ -665,132 +604,8 @@ class _LiveRequestHandler(BaseHTTPRequestHandler):
         finally:
             monitor._unregister_client(client)
 
-    # -- POST -----------------------------------------------------------------
-
-    def _authorized(self) -> bool:
-        token = self.headers.get("X-Repro-Token", "")
-        if not token:
-            auth = self.headers.get("Authorization", "")
-            if auth.startswith("Bearer "):
-                token = auth[len("Bearer "):]
-        return bool(token) and secrets.compare_digest(token, self.monitor.token)
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
-        monitor = self.monitor
-        try:
-            if path != "/telemetry":
-                self._send_json(404, {"error": f"unknown endpoint {path!r}"})
-                return
-            monitor._count_request("/telemetry")
-            if not self._authorized():
-                with monitor._stats_lock:
-                    monitor._telemetry_rejected += 1
-                self._send_json(401, {"error": "bad or missing telemetry token"})
-                return
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-            except ValueError:
-                length = -1
-            if not (0 < length <= _MAX_BODY_BYTES):
-                self._send_json(400, {"error": "bad Content-Length"})
-                return
-            try:
-                body = json.loads(self.rfile.read(length).decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self._send_json(400, {"error": "body is not valid JSON"})
-                return
-            if not isinstance(body, Mapping):
-                self._send_json(400, {"error": "body must be a JSON object"})
-                return
-            spans, payloads = monitor.ingest(body)
-            self._send_json(
-                200, {"ok": True, "payloads": payloads, "spans_merged": spans}
-            )
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
 
 # -- client side ----------------------------------------------------------------------
-
-
-class TelemetryPusher:
-    """Worker-side client for ``POST /telemetry``.
-
-    Wraps one monitor URL + token; :meth:`push` ships a fabric payload and
-    returns ``False`` (never raises) when the monitor is unreachable, so
-    the worker can fall back to embedding telemetry in the trial outcome.
-    """
-
-    def __init__(self, url: str, *, token: str | None = None, timeout_s: float = 5.0) -> None:
-        url = url.rstrip("/")
-        if not url.endswith("/telemetry"):
-            url = url + "/telemetry"
-        self.url = url
-        self.token = token or ""
-        self.timeout_s = float(timeout_s)
-        self.pushed = 0
-        self.errors = 0
-
-    @classmethod
-    def from_run_dir(
-        cls,
-        run_dir: str | Path,
-        *,
-        url: str | None = None,
-        token: str | None = None,
-        timeout_s: float = 5.0,
-    ) -> "TelemetryPusher":
-        """Build a pusher from the run dir's ``monitor.json`` discovery file.
-
-        Explicit ``url``/``token`` arguments win over discovered values.
-        """
-        discovered: dict[str, Any] = {}
-        monitor_path = Path(run_dir) / MONITOR_FILE
-        if monitor_path.exists():
-            try:
-                discovered = json.loads(monitor_path.read_text())
-            except (OSError, ValueError):
-                discovered = {}
-        if discovered.get("closed"):
-            discovered = {}
-        url = url or discovered.get("url")
-        if not url:
-            raise ValidationError(
-                f"no live monitor URL: pass one explicitly or start the campaign "
-                f"with --serve (no open {MONITOR_FILE} under {run_dir})"
-            )
-        return cls(url, token=token or discovered.get("token"), timeout_s=timeout_s)
-
-    def push(
-        self,
-        payload: Mapping[str, Any],
-        *,
-        attributes: Mapping[str, Any] | None = None,
-    ) -> bool:
-        doc = {"schema": PUSH_SCHEMA, "payload": dict(payload)}
-        if attributes:
-            doc["attributes"] = dict(attributes)
-        body = json.dumps(doc).encode("utf-8")
-        request = urllib.request.Request(
-            self.url,
-            data=body,
-            headers={
-                "Content-Type": "application/json",
-                "X-Repro-Token": self.token,
-            },
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                ok = 200 <= response.status < 300
-        except (urllib.error.URLError, OSError, ValueError):
-            ok = False
-        if ok:
-            self.pushed += 1
-        else:
-            self.errors += 1
-        return ok
 
 
 def fetch_status(url: str, *, timeout_s: float = 5.0) -> dict[str, Any]:

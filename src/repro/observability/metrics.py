@@ -271,14 +271,6 @@ class MetricsRegistry:
         path.write_text(json.dumps(self.to_dict(), indent=2, default=str) + "\n")
         return path
 
-    def export_jsonl(self, path: str | Path) -> Path:
-        """One instrument per line (streaming-friendly variant)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = [json.dumps(inst.to_dict(), default=str) for inst in self.instruments()]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
-        return path
-
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (v0.0.4)."""
         lines: list[str] = []
@@ -300,12 +292,6 @@ class MetricsRegistry:
                 else:
                     lines.append(f"{inst.name}{_fmt_labels(labels)} {value}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def export_prometheus(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.render_prometheus())
-        return path
 
 
 def _fmt_labels(labels: dict[str, Any]) -> str:

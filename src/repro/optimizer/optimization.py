@@ -25,7 +25,7 @@ from typing import Any, Mapping
 from repro.errors import OptimizationError
 from repro.experiments import EvaluationRecord, ExperimentArchive, ExperimentManifest
 from repro.observability import export as export_observability_artifacts
-from repro.observability.trace import SCALAR_METRIC, Tracer, get_tracer
+from repro.observability.trace import SCALAR_METRIC, get_tracer
 from repro.optimizer.problem import OptimizationProblem
 from repro.optimizer.summary import ReproducibilitySummary
 from repro.search.algos import ConcurrencyLimiter, SearchAlgorithm, SurrogateSearch
@@ -47,14 +47,11 @@ class Optimization(abc.ABC):
         workdir: str | Path = ".repro-optimizations",
         seed: int | None = None,
         description: str = "",
-        tracer: Tracer | None = None,
         resume_dir: str | Path | None = None,
     ) -> None:
         self.problem = problem
         self.name = name
         self.seed = seed
-        #: explicit tracer, or ``None`` to follow the process-global one.
-        self._tracer = tracer
         if resume_dir is not None:
             # Re-open the interrupted campaign's archive: keeps the manifest
             # and the evaluation counter, so new evaluations continue the
@@ -72,10 +69,6 @@ class Optimization(abc.ABC):
             self.archive = ExperimentArchive(workdir, manifest)
         self._lock = threading.Lock()
         self._records: list[EvaluationRecord] = []
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
 
     # -- the optimization cycle hooks (Listing 1 lines 28-35) -------------------------
 
@@ -124,7 +117,7 @@ class Optimization(abc.ABC):
         *optimize*, is the runner's suggest/tell pair). The reconfigure span
         carries the whole evaluation's wall time as ``evaluation_s``.
         """
-        tracer = self.tracer
+        tracer = get_tracer()
         start = time.perf_counter()
         with tracer.span("cycle:deploy"):
             directory = self.prepare()
@@ -210,7 +203,7 @@ class Optimization(abc.ABC):
             resume_trials = [Trial.from_dict(r) for r in self.archive.load_checkpoint()]
             resume_searcher_state = self.archive.load_searcher_state()
 
-        tracer = self.tracer
+        tracer = get_tracer()
 
         def checkpoint(
             records: list[dict[str, Any]], searcher_state: dict[str, Any] | None = None
@@ -235,7 +228,6 @@ class Optimization(abc.ABC):
             executor=executor,
             max_workers=max_workers,
             name=self.name,
-            tracer=tracer,
             max_retries=max_retries,
             retry_backoff_s=retry_backoff_s,
             trial_timeout_s=trial_timeout_s,

@@ -41,6 +41,20 @@ __all__ = ["PlantNetScenario", "ScenarioResult"]
 CLIENT_NODES: dict[str, int] = {"chiclet": 8, "chetemi": 13, "chifflet": 8, "gros": 12}
 
 
+def _client_shares(simultaneous_requests: int) -> dict[str, int]:
+    """The client population per client cluster, as declared and as placed.
+
+    An even split in :data:`CLIENT_NODES` order, the first
+    ``simultaneous_requests % 4`` clusters taking one client more. A
+    cluster left with no client is omitted rather than given one.
+    """
+    if simultaneous_requests < 1:
+        raise ValidationError("need at least one client")
+    base, extra = divmod(simultaneous_requests, len(CLIENT_NODES))
+    shares = {cluster: base + (i < extra) for i, cluster in enumerate(CLIENT_NODES)}
+    return {cluster: share for cluster, share in shares.items() if share > 0}
+
+
 def _check_repetitions(repetitions: int) -> int:
     """The repetition count as an int, rejected below one."""
     if repetitions < 1:
@@ -153,22 +167,16 @@ class PlantNetScenario:
                 ),
             ),
         )
-        clusters = list(CLIENT_NODES)
-        base_share, extra = divmod(simultaneous_requests, len(clusters))
-        shares = {
-            cluster: base_share + (1 if i < extra else 0)
-            for i, cluster in enumerate(clusters)
-        }
         edge = Layer(
             name="edge",
             services=tuple(
                 LayerMapping(
                     service="plantnet-clients",
                     cluster=cluster,
-                    nodes=count,
-                    options={"simultaneous_requests": max(1, shares[cluster])},
+                    nodes=CLIENT_NODES[cluster],
+                    options={"simultaneous_requests": share},
                 )
-                for cluster, count in CLIENT_NODES.items()
+                for cluster, share in _client_shares(simultaneous_requests).items()
             ),
         )
         definition = ScenarioDefinition(layers=[cloud, edge])
@@ -204,13 +212,7 @@ class PlantNetScenario:
                 options={"config": config, "cores": 40},
             )
         )
-        remaining = simultaneous_requests
-        clusters = list(CLIENT_NODES)
-        per_cluster = max(1, simultaneous_requests // len(clusters))
-        for i, cluster in enumerate(clusters):
-            share = remaining if i == len(clusters) - 1 else min(per_cluster, remaining)
-            if share <= 0:
-                continue
+        for cluster, share in _client_shares(simultaneous_requests).items():
             fleet = ClientFleetService()
             fleet.deploy(
                 ServiceContext(
@@ -220,7 +222,6 @@ class PlantNetScenario:
                     options={"simultaneous_requests": share},
                 )
             )
-            remaining -= share
         return {
             "testbed": testbed,
             "reservation": reservation,

@@ -32,7 +32,8 @@ attempt's ``end_s`` is its end relative to the loop's start, so the parent
 places one ``execute`` span per attempt without sharing a clock with the
 worker. ``queue_wait_s`` is added by the backends that can measure it
 (thread, process). Store workers persist exactly this payload into the
-trial ledger, plus ``reclaimed`` / ``telemetry_pushed`` markers.
+trial ledger, plus the ``tainted`` / ``reclaimed`` markers of a reclaimed
+trial.
 """
 
 from __future__ import annotations

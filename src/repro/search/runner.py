@@ -45,7 +45,7 @@ from repro.bayesopt.space import Space
 from repro.errors import TrialError, ValidationError
 from repro.observability import fabric
 from repro.observability.profile import CostBreakdown, aggregate_costs
-from repro.observability.trace import Tracer, get_tracer
+from repro.observability.trace import get_tracer
 from repro.search.algos import SearchAlgorithm, SurrogateSearch
 from repro.search.backends import BACKENDS
 from repro.search.evalcache import EvalCache
@@ -141,7 +141,6 @@ class TrialRunner:
         name: str = "experiment",
         raise_on_failed_trial: bool = False,
         log_dir: str | None = None,
-        tracer: Tracer | None = None,
         max_retries: int = 0,
         retry_backoff_s: float = 0.0,
         trial_timeout_s: float | None = None,
@@ -191,10 +190,8 @@ class TrialRunner:
         self.retry_backoff_s = float(retry_backoff_s)
         self.trial_timeout_s = None if trial_timeout_s is None else float(trial_timeout_s)
         self.backend_options = dict(backend_options or {})
-        #: explicit tracer, or ``None`` to follow the process-global one
-        #: installed when :meth:`run` starts.
-        self._explicit_tracer = tracer
-        self._tracer = tracer if tracer is not None else get_tracer()
+        #: the process-global tracer, re-read when :meth:`run` starts.
+        self._tracer = get_tracer()
         #: open per-trial spans (trial_id → Span). Only the thread running
         #: :meth:`run` emits spans, so no lock guards them.
         self._trial_spans: dict[str, Any] = {}
@@ -428,8 +425,7 @@ class TrialRunner:
     # -- main loop --------------------------------------------------------------------
 
     def run(self) -> ExperimentAnalysis:
-        if self._explicit_tracer is None:
-            self._tracer = get_tracer()
+        self._tracer = get_tracer()
         start = time.perf_counter()
         trials: list[Trial] = []
         created = self._replay_resumed(trials)

@@ -14,8 +14,10 @@ Execution semantics are identical to every other executor: the same
 :func:`~repro.search.execution.run_trial` attempt loop and outcome format
 (per-attempt records and the worker-measured ``evaluate_s`` included), the
 same taint markers, and — when the campaign parent is observing — the same
-telemetry fabric, with per-trial payloads persisted into the ledger for the
-parent to merge (spans arrive stamped with this worker's ``runner_id``).
+telemetry fabric: each trial's span payload rides in its ledger outcome,
+and the parent merges it under that trial's ``trial:<id>`` span (stamped
+with this worker's ``runner_id``). The ledger is the only way worker spans
+come back.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ def run_worker(
     idle_timeout_s: float | None = None,
     max_trials: int | None = None,
     on_trial: Any = None,
-    push: Any = None,
 ) -> int:
     """Process trials from ``store`` until the campaign closes.
 
@@ -88,12 +89,7 @@ def run_worker(
     store is closed and no work is claimable, after ``idle_timeout_s``
     seconds without claimable work, or after ``max_trials`` completions.
     ``on_trial(claim, outcome)`` is an optional observer hook (used by the
-    CLI for progress lines). ``push`` is an optional
-    :class:`~repro.observability.live.TelemetryPusher`: per-trial fabric
-    payloads then stream to the campaign's live monitor *mid-campaign*
-    (activating worker telemetry even when the parent is not observing);
-    a failed push falls back to embedding the payload in the ledger
-    outcome, so telemetry is never lost.
+    CLI for progress lines).
     """
     if not isinstance(store, TrialStore):
         store = TrialStore.open(store)
@@ -104,7 +100,7 @@ def run_worker(
     backoff_s = float(meta.get("retry_backoff_s", 0.0))
     timeout_s = meta.get("trial_timeout_s")
     timeout_s = None if timeout_s is None else float(timeout_s)
-    telemetry = bool(meta.get("telemetry", False)) or push is not None
+    telemetry = bool(meta.get("telemetry", False))
     if telemetry:
         fabric.activate_worker(str(meta.get("name", "experiment")))
     completed = 0
@@ -131,7 +127,7 @@ def run_worker(
         heartbeat = _Heartbeat(store, claim, lease)
         try:
             outcome = _execute_claim(
-                trainable, claim, max_retries, backoff_s, timeout_s, telemetry, push
+                trainable, claim, max_retries, backoff_s, timeout_s, telemetry
             )
         finally:
             heartbeat.stop()
@@ -149,7 +145,6 @@ def _execute_claim(
     backoff_s: float,
     timeout_s: float | None,
     telemetry: bool,
-    push: Any = None,
 ) -> dict[str, Any]:
     """Run one claimed trial and build its ledger outcome payload."""
     outcome = run_trial(
@@ -161,13 +156,6 @@ def _execute_claim(
         trial_id=claim.trial_id,
         telemetry=telemetry,
     )
-    payload = outcome.get("telemetry")
-    if push is not None and payload is not None:
-        # Streamed to the live monitor: do not also embed the payload, or
-        # the parent would merge every span twice at drain time.
-        if push.push(payload, attributes={"trial_id": claim.trial_id}):
-            del outcome["telemetry"]
-            outcome["telemetry_pushed"] = True
     # A reclaimed trial's measurement may overlap a zombie twin still
     # running elsewhere; flag it so the evaluation cache refuses admission.
     if claim.prior_claims:

@@ -325,7 +325,7 @@ class TestSuggestDigestSplit:
     def test_suggest_and_suggest_fit_series(self):
         """Fit-bearing asks and amortized suggests land in separate digests,
         and every surrogate fit records a refit observation."""
-        tracer, _ = obs.enable()
+        tracer = obs.enable()
         try:
             space = Space([Integer(0, 40, name="n"), Real(-2, 2, name="r")])
             search = SurrogateSearch(

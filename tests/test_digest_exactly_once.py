@@ -45,7 +45,7 @@ def run_traced(runner, run_dir):
     A status board subscribed to the tracer must end with every trial done,
     none running, and one error per ERROR trial.
     """
-    tracer, _ = obs.enable()
+    tracer = obs.enable()
     board = StatusBoard(num_samples=runner.num_samples)
     tracer.subscribe(board.on_span)
     try:

@@ -147,7 +147,7 @@ def _sleeps(config):
 
 def test_timed_out_attempt_posts_no_late_span():
     """An abandoned attempt finishing after the campaign emits nothing."""
-    tracer, _ = obs.enable()
+    tracer = obs.enable()
     try:
         TrialRunner(
             _sleeps,

@@ -12,8 +12,8 @@ imports ``scipy.linalg`` from ``scipy.special`` at module level, later
 versions do not. The budget is what the default path loads beyond that.
 
 The live monitor (``repro.observability.live``) and the ``http.server`` /
-``urllib.request`` modules it needs load only when a campaign serves or a
-worker pushes telemetry.
+``urllib.request`` modules it needs load only when a campaign serves or
+``python -m repro monitor`` reads a live campaign.
 """
 
 import functools

@@ -158,7 +158,7 @@ class TestPerfRecorder:
     def test_global_slot(self):
         """The live recorder is the installed tracer's, on and off with it."""
         assert get_tracer().perf is None
-        tracer, _ = obs.enable()
+        tracer = obs.enable()
         assert isinstance(tracer.perf, PerfRecorder)
         assert get_tracer().perf is tracer.perf
         obs.disable()

@@ -4,10 +4,10 @@ Covers the embedded HTTP monitor end to end: serve-spec parsing and the
 ``OptimizerConf.serve`` field, the status board, store-derived worker
 liveness, concurrent ``/metrics`` + ``/status`` scrapes during an active
 campaign, SSE delivery of injected watchdog alerts, slow-consumer drop
-accounting, authenticated ``POST /telemetry`` ingest with ``runner_id`` /
-``pid`` attribution, the ``--format json`` CLI surfaces, the ``monitor``
-CLI, and a subprocess worker streaming telemetry mid-campaign via
-``--push-telemetry``.
+accounting, the read-only surface (a ``POST`` is refused and merges
+nothing), the ``--format json`` CLI surfaces, the ``monitor`` CLI, and a
+subprocess CLI worker whose spans come back through the trial ledger,
+adopted under each ``trial:<id>`` span.
 """
 
 import json
@@ -31,7 +31,6 @@ from repro.observability.live import (
     MONITOR_FILE,
     LiveMonitor,
     StatusBoard,
-    TelemetryPusher,
     parse_serve_spec,
     render_status_line,
     stream_events,
@@ -301,7 +300,7 @@ class TestLiveServer:
         assert closed["closed"] is True
 
     def test_sse_client_receives_injected_watchdog_alert(self):
-        tracer, _ = obs.enable()
+        tracer = obs.enable()
         watchdog = CampaignWatchdog()
         watchdog.attach(tracer)
         monitor = LiveMonitor("127.0.0.1", 0, name="sse")
@@ -357,58 +356,33 @@ class TestLiveServer:
         # drop counters surface in the self-metrics exposition
         assert "repro_live_events_dropped_total 8" in monitor.render_metrics()
 
-    def test_post_telemetry_merges_with_attribution(self):
-        tracer, _ = obs.enable()
-        monitor = LiveMonitor("127.0.0.1", 0, name="ingest")
+    def test_post_is_refused_and_merges_nothing(self):
+        tracer = obs.enable()
+        monitor = LiveMonitor("127.0.0.1", 0, name="read-only")
         monitor.start()
         try:
+            with tracer.span("trial:x", trial_id="x"):
+                pass
+            before = monitor.status()["spans_recorded"]
             payload = {
                 "schema": "repro.fabric/1",
                 "pid": 4242,
                 "runner_id": "camp/w4242",
-                "epoch_unix": time.time(),
                 "spans": [
                     {"name": "evaluate", "span_id": 1, "start_s": 0.0, "end_s": 0.5}
                 ],
             }
-            pusher = TelemetryPusher(monitor.url, token=monitor.token)
-            assert pusher.push(payload, attributes={"trial_id": "t7"})
-            assert pusher.pushed == 1
-            [span] = [
-                s
-                for s in tracer.finished()
-                if s.attributes.get("runner_id") == "camp/w4242"
-            ]
-            assert span.name == "evaluate"
-            assert span.attributes["pid"] == 4242
-            assert span.attributes["trial_id"] == "t7"
-            stats = monitor.self_stats()
-            assert stats["telemetry_merges"] == 1
-            assert stats["telemetry_spans_merged"] == 1
-        finally:
-            monitor.stop()
-
-    def test_post_telemetry_rejects_bad_token(self):
-        tracer, _ = obs.enable()
-        monitor = LiveMonitor("127.0.0.1", 0, name="auth")
-        monitor.start()
-        try:
-            payload = {
-                "schema": "repro.fabric/1",
-                "pid": 1,
-                "runner_id": "evil/w1",
-                "spans": [
-                    {"name": "evaluate", "span_id": 1, "start_s": 0.0, "end_s": 0.5}
-                ],
-            }
-            bad = TelemetryPusher(monitor.url, token="wrong-token")
-            assert not bad.push(payload)
-            assert bad.errors == 1
-            missing = TelemetryPusher(monitor.url)  # no token at all
-            assert not missing.push(payload)
-            assert monitor.self_stats()["telemetry_rejected"] == 2
-            assert monitor.self_stats()["telemetry_merges"] == 0
-            assert tracer.finished() == []  # nothing was merged
+            request = urllib.request.Request(
+                monitor.url + "/telemetry",
+                data=json.dumps(payload).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=5)
+            assert excinfo.value.code == 501
+            assert monitor.status()["spans_recorded"] == before == 1
+            assert [s.name for s in tracer.finished()] == ["trial:x"]
         finally:
             monitor.stop()
 
@@ -428,7 +402,7 @@ class TestLiveServer:
 
 class TestFormatJson:
     def _run_dir(self, tmp_path):
-        tracer, _ = obs.enable()
+        tracer = obs.enable()
         with tracer.span("phase:optimize"):
             with tracer.span("trial:live_test_00000", trial_id="live_test_00000"):
                 pass
@@ -469,7 +443,7 @@ class TestFormatJson:
 
 class TestMonitorCli:
     def test_once_against_live_url(self, capsys):
-        tracer, _ = obs.enable()
+        tracer = obs.enable()
         monitor = LiveMonitor("127.0.0.1", 0, name="cli", num_samples=3)
         monitor.start()
         monitor.board.set_phase("optimize")
@@ -485,7 +459,7 @@ class TestMonitorCli:
             monitor.stop()
 
     def test_finished_run_dir_falls_back_to_report(self, tmp_path, capsys):
-        tracer, _ = obs.enable()
+        tracer = obs.enable()
         with tracer.span("phase:optimize"):
             pass
         run_dir = tmp_path / "run"
@@ -512,13 +486,13 @@ class TestMonitorCli:
         assert "3 alerts" in line
 
 
-class TestWorkerPushIntegration:
-    def test_subprocess_worker_streams_telemetry_mid_campaign(self, tmp_path):
-        """A CLI worker on the store executor pushes spans to the monitor.
+class TestWorkerLedgerIntegration:
+    def test_cli_worker_spans_come_back_under_trials(self, tmp_path):
+        """A CLI worker's spans come back in the ledger, under each trial.
 
-        The pushed spans must land in the parent trace with the *worker's*
-        ``runner_id``/``pid`` attribution, and the ledger outcomes must
-        carry the ``telemetry_pushed`` marker instead of embedded payloads.
+        Every worker-side ``evaluate`` span (stamped with the worker's
+        ``runner_id``/``pid``) must hang under its ``trial:<id>`` span in the
+        exported trace, and every ledger outcome carries its ``telemetry``.
         """
         conf = _conf(
             tmp_path,
@@ -539,7 +513,8 @@ class TestWorkerPushIntegration:
 
         campaign = threading.Thread(target=run_campaign, daemon=True)
         campaign.start()
-        _wait_for_monitor(manager.run_dir)
+        discovery = _wait_for_monitor(manager.run_dir)
+        assert "token" not in discovery
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
         worker = subprocess.run(
@@ -549,7 +524,6 @@ class TestWorkerPushIntegration:
                 "repro",
                 "worker",
                 str(manager.run_dir),
-                "--push-telemetry",
                 "--poll",
                 "0.05",
                 "--idle-timeout",
@@ -564,28 +538,29 @@ class TestWorkerPushIntegration:
         assert not campaign.is_alive()
         assert "error" not in box, box.get("error")
         assert worker.returncode == 0, worker.stderr
-        assert "pushing telemetry to http://" in worker.stdout
 
-        # the worker's spans were merged mid-campaign and exported with
-        # its runner_id/pid attribution
         spans_path = Path(manager.run_dir) / "spans.jsonl"
         spans = [
             json.loads(line)
             for line in spans_path.read_text().splitlines()
             if line.strip()
         ]
+        by_id = {s["span_id"]: s for s in spans}
         remote = [
             s
             for s in spans
-            if s["name"] == "evaluate" and s.get("attributes", {}).get("runner_id")
+            if s["name"] == "evaluate" and s["attributes"].get("runner_id")
         ]
-        assert remote, "no pushed worker spans reached the parent trace"
-        assert all(s["attributes"]["runner_id"].startswith("live_test/") for s in remote)
-        assert all(s["attributes"].get("pid") for s in remote)
+        assert len(remote) == 3, remote
+        for span in remote:
+            attributes = span["attributes"]
+            assert attributes["runner_id"].startswith("live_test/")
+            assert attributes.get("pid")
+            parent = by_id[span["parent_id"]]
+            assert parent["name"] == f"trial:{attributes['trial_id']}"
+        assert len({s["attributes"]["trial_id"] for s in remote}) == 3
 
-        # ledger outcomes carry the pushed marker, not embedded payloads
         state = TrialStore.open(Path(manager.run_dir) / "store").snapshot()
         assert state.counts()["done"] == 3
         outcomes = [t.outcome for t in state.trials.values()]
-        assert all(o.get("telemetry_pushed") for o in outcomes), outcomes
-        assert all("telemetry" not in o for o in outcomes)
+        assert all(o.get("telemetry", {}).get("spans") for o in outcomes), outcomes

@@ -219,7 +219,7 @@ def test_worker_engine_metrics_match_in_process_run():
     of the process boundary."""
 
     def metered(executor):
-        tracer, registry = obs.enable()
+        tracer = obs.enable()
         try:
             run(
                 _engine_objective,
@@ -232,7 +232,7 @@ def test_worker_engine_metrics_match_in_process_run():
             )
         finally:
             obs.disable()
-        return registry
+        return tracer.metrics
 
     inline, workers = metered("sync"), metered("process")
     for name in ("engine_requests_completed_total", "engine_loop_events_total"):

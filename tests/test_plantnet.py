@@ -109,6 +109,33 @@ class TestScenario:
         total = sum(r.nodes for r in definition.resource_requests())
         assert total == 42
 
+    @pytest.mark.parametrize(
+        "population, expected",
+        [
+            (1, {"chiclet": 1}),
+            (6, {"chiclet": 2, "chetemi": 2, "chifflet": 1, "gros": 1}),
+            (81, {"chiclet": 21, "chetemi": 20, "chifflet": 20, "gros": 20}),
+        ],
+    )
+    def test_declared_client_split_is_the_placed_one(self, population, expected):
+        scenario = PlantNetScenario(duration=150.0, warmup=40.0, warm_reuse=False)
+        [edge] = [
+            layer
+            for layer in scenario.definition(BASELINE, population).layers
+            if layer.name == "edge"
+        ]
+        declared = {
+            mapping.cluster: mapping.options["simultaneous_requests"]
+            for mapping in edge.services
+        }
+        result = scenario.run(BASELINE, population)
+        placed: dict[str, int] = {}
+        for entry in result.deployment_manifest:
+            if entry["service"] == "plantnet-clients":
+                cluster = entry["node"].rsplit("-", 1)[0]
+                placed[cluster] = placed.get(cluster, 0) + entry["clients"]
+        assert declared == placed == expected
+
 
 
 class TestWarmReuse:

@@ -25,7 +25,7 @@ def _clean_globals():
 
 def _minimal_run(tmp_path, *, spans=True, perf=True):
     """Export a tiny but real run directory, optionally dropping artifacts."""
-    tracer, _ = obs.enable()
+    tracer = obs.enable()
     with tracer.span("trial:t0", trial_id="t0"):
         with tracer.span("suggest", trial_id="t0"):
             pass

@@ -163,8 +163,7 @@ class TestWorkerLifecycle:
         assert [span["name"] for span in payload["spans"]] == ["evaluate"]
 
     def test_export_includes_tracer_self_metrics(self, tmp_path):
-        tracer, registry = obs.enable()
-        assert registry is tracer.metrics
+        tracer = obs.enable()
         with tracer.span("x"):
             pass
         obs.export(tmp_path)
@@ -181,7 +180,8 @@ class TestProcessExecutorEndToEnd:
     def test_worker_spans_merged_with_attribution(self):
         """Acceptance: a process campaign yields worker-side evaluate spans
         (runner_id/pid stamped) for every trial, plus merged digests."""
-        tracer, registry = obs.enable()
+        tracer = obs.enable()
+        registry = tracer.metrics
         try:
             analysis = run(
                 _objective,

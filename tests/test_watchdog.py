@@ -360,9 +360,9 @@ class TestCampaignIntegration:
         enable = obs.enable
 
         def recording_enable():
-            tracer, registry = enable()
+            tracer = enable()
             tracers.append(tracer)
-            return tracer, registry
+            return tracer
 
         monkeypatch.setattr(obs, "enable", recording_enable)
         conf = OptimizerConf.from_dict(
