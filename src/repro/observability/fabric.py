@@ -5,9 +5,10 @@ recorded inside a worker died with the worker, so a process-executor
 campaign produced traces with empty evaluations. The fabric closes the loop
 in three moves:
 
-1. **activate** — the pool initializer calls :func:`activate_worker`, which
-   installs a worker-local recording tracer (the same process-global slot
-   the instrumented code already emits into — no instrumentation site
+1. **activate** — the pool initializer or a store worker calls
+   :func:`activate_worker` with its identity, which installs a
+   worker-local recording tracer (the same process-global slot the
+   instrumented code already emits into — no instrumentation site
    changes);
 2. **drain** — after each trial the worker calls :func:`drain_worker`,
    serializing the spans finished since the previous drain into one
@@ -60,24 +61,24 @@ _runner_id: Optional[str] = None
 _activated_pid: Optional[int] = None
 
 
-def activate_worker(runner_name: str = "experiment") -> str:
-    """Install worker-local telemetry; idempotent per (process, runner name).
+def activate_worker(runner_id: str) -> str:
+    """Install worker-local telemetry; idempotent per (process, runner id).
 
-    Called by the process-pool initializer. The worker's identity is
-    ``<runner_name>/w<pid>`` and is stamped onto every span merged back
-    into the parent.
+    ``runner_id`` is the identity stamped onto every span merged back into
+    the parent: the process-pool initializer passes ``<runner_name>/w<pid>``,
+    a store worker passes its ledger ``runner_id`` (the ``completed_by`` of
+    the trials it finishes), so a trace joins the ledger by that id.
 
     Re-activation resets stale state: a pool-worker process reused (or
     forked) by a *second* pool with a different runner name — or a child
     that inherited an activated parent's globals across ``fork`` — would
     otherwise keep the first activation's ``runner_id`` and mis-attribute
-    every span it ships. When the name or pid differs from the recorded
+    every span it ships. When the id or pid differs from the recorded
     activation, a fresh tracer is installed (dropping anything the previous
-    identity had buffered) and the id is re-derived.
+    identity had buffered).
     """
     global _runner_id, _activated_pid
     pid = os.getpid()
-    runner_id = f"{runner_name}/w{pid}"
     if _runner_id == runner_id and _activated_pid == pid:
         return _runner_id
     # First activation, a new identity, or a forked inheritance: telemetry

@@ -38,6 +38,7 @@ trial.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import nullcontext
@@ -228,7 +229,7 @@ def pool_init(
     global _WORKER_TRAINABLE
     _WORKER_TRAINABLE = trainable
     if telemetry:
-        fabric.activate_worker(runner_name)
+        fabric.activate_worker(f"{runner_name}/w{os.getpid()}")
 
 
 def process_entry(

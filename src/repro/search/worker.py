@@ -15,9 +15,9 @@ Execution semantics are identical to every other executor: the same
 (per-attempt records and the worker-measured ``evaluate_s`` included), the
 same taint markers, and — when the campaign parent is observing — the same
 telemetry fabric: each trial's span payload rides in its ledger outcome,
-and the parent merges it under that trial's ``trial:<id>`` span (stamped
-with this worker's ``runner_id``). The ledger is the only way worker spans
-come back.
+and the parent merges it under that trial's ``trial:<id>`` span, stamped
+with this worker's ledger ``runner_id`` (the trial's ``completed_by``). The
+ledger is the only way worker spans come back.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def run_worker(
     timeout_s = None if timeout_s is None else float(timeout_s)
     telemetry = bool(meta.get("telemetry", False))
     if telemetry:
-        fabric.activate_worker(str(meta.get("name", "experiment")))
+        fabric.activate_worker(runner_id)
     completed = 0
     idle_since: Optional[float] = None
     while True:

@@ -268,12 +268,31 @@ class DecisionTreeRegressor(SurrogateModel):
         return float(sse[pos]), threshold
 
     def _finalize(self) -> None:
-        self._cl = np.asarray(self.children_left_, dtype=np.int64)
-        self._cr = np.asarray(self.children_right_, dtype=np.int64)
-        self._feat = np.asarray(self.feature_, dtype=np.int64)
-        self._thr = np.asarray(self.threshold_, dtype=np.float64)
-        self._val = np.asarray(self.value_, dtype=np.float64)
-        self._nsamp = np.asarray(self.n_node_samples_, dtype=np.float64)
+        self._pack(
+            self.children_left_,
+            self.children_right_,
+            self.feature_,
+            self.threshold_,
+            self.value_,
+            self.n_node_samples_,
+        )
+
+    def _pack(
+        self,
+        left: Any,
+        right: Any,
+        feature: Any,
+        threshold: Any,
+        value: Any,
+        n_node_samples: Any,
+    ) -> None:
+        """Set the packed node arrays prediction walks; arrays of these dtypes are not copied."""
+        self._cl = np.asarray(left, dtype=np.int64)
+        self._cr = np.asarray(right, dtype=np.int64)
+        self._feat = np.asarray(feature, dtype=np.int64)
+        self._thr = np.asarray(threshold, dtype=np.float64)
+        self._val = np.asarray(value, dtype=np.float64)
+        self._nsamp = np.asarray(n_node_samples, dtype=np.float64)
 
     # -- incremental updates -------------------------------------------------------
 
@@ -526,14 +545,22 @@ def grow_random_trees(trees: list[DecisionTreeRegressor], X: np.ndarray, y: np.n
     end = 0
     for t, tree in enumerate(trees):
         m = int(n_nodes[t])
-        tree.children_left_ = left[t, :m].tolist()
-        tree.children_right_ = right[t, :m].tolist()
-        tree.feature_ = feature[t, :m].tolist()
-        tree.threshold_ = threshold[t, :m].tolist()
-        tree.value_ = value[end : end + m].tolist()
-        tree.n_node_samples_ = count[t, :m].tolist()
+        n_samples = count[t, :m]
+        tree._pack(
+            left[t, :m],
+            right[t, :m],
+            feature[t, :m],
+            threshold[t, :m],
+            value[end : end + m],
+            n_samples,
+        )
+        tree.children_left_ = tree._cl.tolist()
+        tree.children_right_ = tree._cr.tolist()
+        tree.feature_ = tree._feat.tolist()
+        tree.threshold_ = tree._thr.tolist()
+        tree.value_ = tree._val.tolist()
+        tree.n_node_samples_ = n_samples.tolist()  # ints; the packed copy is float
         end += m
-        tree._finalize()
 
 
 def _choose_splits(

@@ -1,8 +1,10 @@
 """EI/PI and the normal quantile are bitwise equal to their scipy.stats.norm forms.
 
-The library evaluates the Gaussian cdf/pdf/ppf through ``scipy.special`` so
-that importing it never loads ``scipy.stats``; these tests hold it to the
-``norm.cdf``/``norm.pdf``/``norm.ppf`` references bit for bit.
+EI/PI evaluate the Gaussian cdf with a numpy port of Cephes ``ndtr`` (libm
+``exp``) and the pdf with the ``norm.pdf`` formula, and the quantile uses
+``scipy.special.ndtri``, so importing the acquisitions loads no SciPy; these
+tests hold them to the ``norm.cdf``/``norm.pdf``/``norm.ppf`` references bit
+for bit.
 """
 
 import numpy as np

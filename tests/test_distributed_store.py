@@ -503,24 +503,47 @@ class TestFabricReactivation:
         saved = get_tracer()
         saved_id = (fabric._runner_id, fabric._activated_pid)
         try:
-            first = fabric.activate_worker("alpha")
+            first = fabric.activate_worker(f"alpha/w{os.getpid()}")
             assert first == f"alpha/w{os.getpid()}"
             tracer_a = get_tracer()
             # Same identity: idempotent, the tracer (and its registry) untouched.
-            assert fabric.activate_worker("alpha") == first
+            assert fabric.activate_worker(first) == first
             assert get_tracer() is tracer_a
-            # A reused worker process activated under a new runner name must
-            # not keep shipping spans under the old identity.
-            second = fabric.activate_worker("beta")
+            # A reused worker process activated under a new identity must
+            # not keep shipping spans under the old one.
+            second = fabric.activate_worker(f"beta/w{os.getpid()}")
             assert second == f"beta/w{os.getpid()}"
             assert fabric.worker_runner_id() == second
             assert get_tracer() is not tracer_a
             # Simulate fork inheritance: the recorded pid differs from ours.
             fabric._activated_pid = os.getpid() + 1
             tracer_b = get_tracer()
-            assert fabric.activate_worker("beta") == second
+            assert fabric.activate_worker(second) == second
             assert get_tracer() is not tracer_b  # a fresh tracer for the "child"
             assert get_tracer().metrics is not tracer_b.metrics
         finally:
             set_tracer(saved)
             fabric._runner_id, fabric._activated_pid = saved_id
+
+    def test_store_worker_spans_carry_the_ledger_runner_id(self, tmp_path):
+        from repro.observability.trace import RecordingTracer, get_tracer, set_tracer
+
+        store = _make_store(tmp_path / "store", telemetry=True)
+        store.add_trial("t0", {"x": 3})
+        saved = get_tracer()
+        saved_id = (fabric._runner_id, fabric._activated_pid)
+        try:
+            completed = run_worker(
+                store, _quadratic, runner_id="x/local0", poll_s=0.02, max_trials=1
+            )
+        finally:
+            set_tracer(saved)
+            fabric._runner_id, fabric._activated_pid = saved_id
+        assert completed == 1
+        trial = store.snapshot().trials["t0"]
+        assert trial.completed_by == "x/local0"
+        parent = RecordingTracer()
+        fabric.merge_payload(trial.outcome["telemetry"], tracer=parent)
+        evaluate = [span for span in parent.finished() if span.name == "evaluate"]
+        assert len(evaluate) == 1
+        assert evaluate[0].attributes["runner_id"] == "x/local0"
