@@ -116,12 +116,46 @@ class CpuContentionModel:
 
     # -- draw bookkeeping --------------------------------------------------------
 
+    def start(self, weight: float, now: float) -> tuple[float, float]:
+        """Start a CPU-bound task that would draw ``weight`` cores uncontended.
+
+        Returns ``(slowdown, draw)``: the task runs ``slowdown`` times
+        longer, drawing ``draw = weight / slowdown`` cores, which this call
+        acquires. It is :func:`inflation_factor` at the current utilization
+        followed by :meth:`acquire`, inlined into one call (each simulated
+        request starts six such stages); the arithmetic is the same, so
+        both agree bit for bit.
+        """
+        ratio = self._demand / self.cores
+        # inflation_factor, inlined.
+        if ratio > 8.0:
+            ratio = 8.0
+        slowdown = 1.0
+        scale = self.scale
+        if scale != 0.0 and ratio > 0.0:
+            rho_max = self.rho_max
+            rho = ratio if ratio < rho_max else rho_max
+            slowdown = 1.0 + scale * rho**self.sharpness / (1.0 - rho)
+        if ratio > 1.0:
+            slowdown *= ratio**self.kappa
+        draw = weight / slowdown
+        # acquire, inlined.
+        if draw < 0:
+            raise ValueError("core draw must be >= 0")
+        dt = now - self._last_time
+        if dt > 0:
+            ratio = self._demand / self.cores
+            self._usage_integral += (ratio if ratio < 1.0 else 1.0) * dt
+            self._last_time = now
+        self._demand += draw
+        return slowdown, draw
+
     def acquire(self, draw: float, now: float) -> None:
         """A task drawing ``draw`` actual cores becomes active."""
         if draw < 0:
             raise ValueError("core draw must be >= 0")
-        # _advance, inlined here and in release(): each runs twice per
-        # simulated stage.
+        # _advance, inlined here, in start() and in release(): they run
+        # twice per simulated stage.
         dt = now - self._last_time
         if dt > 0:
             ratio = self._demand / self.cores

@@ -29,7 +29,7 @@ from typing import Any, Generator, Optional
 from repro import simcore
 from repro.engine.config import EngineModelParams, ThreadPoolConfig, WorkloadSpec
 from repro.observability.trace import get_tracer
-from repro.engine.cpumodel import CpuContentionModel, inflation_factor
+from repro.engine.cpumodel import CpuContentionModel
 from repro.engine.gpu import GpuModel
 from repro.engine.metrics import EngineRunResult, MetricsCollector, POOL_NAMES, RequestTrace
 from repro.engine.schedule import ArrivalSchedule
@@ -44,6 +44,9 @@ __all__ = ["IdentificationEngine", "simulate_engine", "EngineRunResult"]
 _ARRIVAL_BATCH = 256
 #: service-noise factors drawn per batch (six per simulated request).
 _NOISE_BATCH = 512
+#: requests between folds of the statistics buffers: each buffer then
+#: stays under 512 bytes, in the interpreter's small-object allocator.
+_FOLD_EVERY = 32
 
 _PRE_PROCESS = TaskType.PRE_PROCESS
 _WAIT_DOWNLOAD = TaskType.WAIT_DOWNLOAD
@@ -118,20 +121,23 @@ class IdentificationEngine:
     # -- service-time noise -------------------------------------------------------
 
     def _noise(self) -> float:
-        """The next lognormal service-noise factor (mean 1, CV ``service_cv``).
+        """Refill the service-noise block and return its first factor.
 
-        Draws come from ``self._rng`` in blocks of :data:`_NOISE_BATCH`: a
-        numpy Generator yields the same sequence batched as one scalar call
-        at a time, and ``_rng`` feeds nothing but this noise, so the values
-        — and every simulated metric — match per-call draws exactly. Values
-        left over in the block when a run ends are never observed.
+        The lifecycle pops lognormal noise factors (mean 1, CV
+        ``service_cv``) straight from ``_noise_buf`` and calls this only
+        when the block is empty. Draws come from ``self._rng`` in blocks of
+        :data:`_NOISE_BATCH`: a numpy Generator yields the same sequence
+        batched as one scalar call at a time, and ``_rng`` feeds nothing but
+        this noise, so the values — and every simulated metric — match
+        per-call draws exactly. Values left over in the block when a run
+        ends are never observed. With ``service_cv == 0`` the block stays
+        empty and every factor is 1.
         """
+        if self._sigma == 0.0:
+            return 1.0
         buf = self._noise_buf
-        if not buf:
-            if self._sigma == 0.0:
-                return 1.0
-            block = self._rng.lognormal(self._mu, self._sigma, size=_NOISE_BATCH)
-            buf.extend(block[::-1].tolist())  # reversed: pop() takes the next draw
+        block = self._rng.lognormal(self._mu, self._sigma, size=_NOISE_BATCH)
+        buf.extend(block[::-1].tolist())  # reversed: pop() takes the next draw
         return buf.pop()
 
     # -- request lifecycle -------------------------------------------------------------
@@ -150,50 +156,50 @@ class IdentificationEngine:
         A CPU-bound stage that would draw ``weight`` cores uncontended is
         slowed by the current contention factor ``I``: it runs ``I`` times
         longer while drawing ``weight / I`` cores, keeping its CPU work
-        invariant. Extract is a GPU-paced phase drawing ``w_extract_spin``
-        cores (not stretched by CPU contention), then a CPU-side decode
-        phase like any other CPU stage.
+        invariant; :meth:`CpuContentionModel.start` returns both and
+        acquires the draw in one call. Extract is a GPU-paced phase drawing
+        ``w_extract_spin`` cores (not stretched by CPU contention), then a
+        CPU-side decode phase like any other CPU stage. Service noise is
+        popped straight from the block (:meth:`_noise` refills it).
 
         Wait times, the response and the trace go to the collector in place
         when the request starts; service times go to ``self.metrics`` as of
         each stage's end (the hybrid engine swaps collectors between
-        windows while requests are in flight). Both go straight to the
-        collector's ``task_stats`` once the warm-up has passed, and each
-        stage's slowdown comes straight from :func:`inflation_factor`, the
-        contention curve the analytic model shares.
+        windows while requests are in flight). Both are appended to the
+        collector's buffers once the warm-up has passed. Every
+        :data:`_FOLD_EVERY` requests the buffers of both collectors and
+        of the pools are folded into their statistics.
         """
         env = self.env
         p = self.params
         pools = self.pools
         metrics = self.metrics
         cpu = self.cpu
-        cores = cpu.cores
-        scale, sharpness, rho_max, kappa = cpu.scale, cpu.sharpness, cpu.rho_max, cpu.kappa
-        acquire = cpu.acquire
+        start = cpu.start
         release = cpu.release
-        noise = self._noise
+        buf = self._noise_buf
+        refill = self._noise
         tracing = metrics.trace_enabled
         stamps: dict[str, float] = {}
         submitted = env._now
 
         http = pools["http"]
+        http_waits = http.stats.waits
         http_req = http.request()
         yield http_req
         try:
             # pre-process
             t0 = now = env._now
-            slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
-            draw = p.w_http_misc / slowdown
-            acquire(draw, now)
+            slowdown, draw = start(p.w_http_misc, now)
             try:
-                duration = p.t_preprocess * slowdown * noise()
+                duration = p.t_preprocess * slowdown * (buf.pop() if buf else refill())
                 yield duration
             finally:
                 now = env._now
                 release(draw, now)
             collector = self.metrics
             if now >= collector.warmup:
-                collector.task_stats[_PRE_PROCESS].add(duration)
+                collector.task_values[_PRE_PROCESS].append(duration)
             if tracing:
                 stamps["pre-process"] = now - t0
 
@@ -204,24 +210,24 @@ class IdentificationEngine:
             yield claim
             now = env._now
             if now >= metrics.warmup:
-                metrics.task_stats[_WAIT_DOWNLOAD].add(now - t0)
+                metrics.task_values[_WAIT_DOWNLOAD].append(now - t0)
             if tracing:
                 stamps["wait-download"] = now - t0
             try:
                 t0 = now
-                slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
-                draw = p.w_download / slowdown
-                acquire(draw, now)
+                slowdown, draw = start(p.w_download, now)
                 try:
                     network = p.image_bytes / p.download_bandwidth
-                    duration = (network + p.t_download_cpu * slowdown) * noise()
+                    duration = (network + p.t_download_cpu * slowdown) * (
+                        buf.pop() if buf else refill()
+                    )
                     yield duration
                 finally:
                     now = env._now
                     release(draw, now)
                 collector = self.metrics
                 if now >= collector.warmup:
-                    collector.task_stats[_DOWNLOAD].add(duration)
+                    collector.task_values[_DOWNLOAD].append(duration)
                 if tracing:
                     stamps["download"] = now - t0
             finally:
@@ -234,34 +240,32 @@ class IdentificationEngine:
             yield claim
             now = env._now
             if now >= metrics.warmup:
-                metrics.task_stats[_WAIT_EXTRACT].add(now - t0)
+                metrics.task_values[_WAIT_EXTRACT].append(now - t0)
             if tracing:
                 stamps["wait-extract"] = now - t0
             try:
                 gpu = self.gpu
-                concurrency = gpu.stream_started()
+                latency = gpu.start_stream()
                 t0 = now
                 spin = p.w_extract_spin
-                acquire(spin, now)
+                cpu.acquire(spin, now)
                 try:
-                    duration = gpu.inference_time(concurrency) * noise()
+                    duration = latency * (buf.pop() if buf else refill())
                     yield duration
                 finally:
                     gpu.stream_finished()
                     now = env._now
                     release(spin, now)
-                slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
-                draw = p.w_extract / slowdown
-                acquire(draw, now)
+                slowdown, draw = start(p.w_extract, now)
                 try:
-                    duration = p.t_extract_cpu * slowdown * noise()
+                    duration = p.t_extract_cpu * slowdown * (buf.pop() if buf else refill())
                     yield duration
                 finally:
                     now = env._now
                     release(draw, now)
                 collector = self.metrics
                 if now >= collector.warmup:
-                    collector.task_stats[_EXTRACT].add(now - t0)
+                    collector.task_values[_EXTRACT].append(now - t0)
                 if tracing:
                     stamps["extract"] = now - t0
             finally:
@@ -269,18 +273,16 @@ class IdentificationEngine:
 
             # process
             t0 = now
-            slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
-            draw = p.w_http_misc / slowdown
-            acquire(draw, now)
+            slowdown, draw = start(p.w_http_misc, now)
             try:
-                duration = p.t_process * slowdown * noise()
+                duration = p.t_process * slowdown * (buf.pop() if buf else refill())
                 yield duration
             finally:
                 now = env._now
                 release(draw, now)
             collector = self.metrics
             if now >= collector.warmup:
-                collector.task_stats[_PROCESS].add(duration)
+                collector.task_values[_PROCESS].append(duration)
             if tracing:
                 stamps["process"] = now - t0
 
@@ -291,23 +293,21 @@ class IdentificationEngine:
             yield claim
             now = env._now
             if now >= metrics.warmup:
-                metrics.task_stats[_WAIT_SIMSEARCH].add(now - t0)
+                metrics.task_values[_WAIT_SIMSEARCH].append(now - t0)
             if tracing:
                 stamps["wait-simsearch"] = now - t0
             try:
                 t0 = now
-                slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
-                draw = p.w_simsearch / slowdown
-                acquire(draw, now)
+                slowdown, draw = start(p.w_simsearch, now)
                 try:
-                    duration = p.t_simsearch * slowdown * noise()
+                    duration = p.t_simsearch * slowdown * (buf.pop() if buf else refill())
                     yield duration
                 finally:
                     now = env._now
                     release(draw, now)
                 collector = self.metrics
                 if now >= collector.warmup:
-                    collector.task_stats[_SIMSEARCH].add(duration)
+                    collector.task_values[_SIMSEARCH].append(duration)
                 if tracing:
                     stamps["simsearch"] = now - t0
             finally:
@@ -315,30 +315,39 @@ class IdentificationEngine:
 
             # post-process
             t0 = now
-            slowdown = inflation_factor(cpu._demand / cores, scale, sharpness, rho_max, kappa)
-            draw = p.w_http_misc / slowdown
-            acquire(draw, now)
+            slowdown, draw = start(p.w_http_misc, now)
             try:
-                duration = p.t_postprocess * slowdown * noise()
+                duration = p.t_postprocess * slowdown * (buf.pop() if buf else refill())
                 yield duration
             finally:
                 now = env._now
                 release(draw, now)
             collector = self.metrics
             if now >= collector.warmup:
-                collector.task_stats[_POST_PROCESS].add(duration)
+                collector.task_values[_POST_PROCESS].append(duration)
             if tracing:
                 stamps["post-process"] = now - t0
         finally:
             http.release(http_req)
 
         response_time = now - submitted + self._client_rtt
-        metrics.record_response(response_time, now)
+        if now >= metrics.warmup:
+            metrics.responses.append(response_time)
+        if len(http_waits) >= _FOLD_EVERY:
+            # Every request adds one value at most to each buffer.
+            metrics.fold()
+            self._fold()
         if tracing:
             metrics.record_trace(
                 RequestTrace(submitted=submitted, response_time=response_time, tasks=stamps),
                 now,
             )
+
+    def _fold(self) -> None:
+        """Fold the collector's and the pools' buffers into their statistics."""
+        self.metrics.fold()
+        for pool in self.pools.values():
+            pool.stats.fold()
 
     def _client(self, index: int = 0) -> Generator[simcore.Event, None, None]:
         """A closed-loop client: resubmit immediately upon each response.
@@ -588,7 +597,7 @@ class IdentificationEngine:
             user_response_time=m.series.user_response_time.summary(),
             throughput=throughput,
             completed_requests=m.completed,
-            task_times={str(t): m.task_stats[t].summary() for t in TaskType},
+            task_times={str(t): stats.summary() for t, stats in m.task_stats.items()},
             pool_busy={name: self.pools[name].occupancy() for name in POOL_NAMES},
             gpu_memory_gb=self.gpu.memory_gb(self.config.extract),
             system_memory_gb=self._system_memory_gb(),

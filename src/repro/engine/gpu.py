@@ -54,14 +54,20 @@ class GpuModel:
     def active_streams(self) -> int:
         return self._active_streams
 
-    def stream_started(self) -> int:
-        """Register a new inference; returns the concurrency including it."""
+    def start_stream(self) -> float:
+        """Register a new inference; returns its latency at the new concurrency.
+
+        :meth:`inference_time` of the stream count including this one, in
+        one call.
+        """
         self._active_streams += 1
-        return self._active_streams
+        p = self.params
+        sharing = p.gpu_concurrency_penalty * (self._active_streams - 1) / p.gpus_per_node
+        return p.t_extract_gpu * (1.0 + sharing)
 
     def stream_finished(self) -> None:
         if self._active_streams <= 0:
-            raise ValidationError("stream_finished without matching stream_started")
+            raise ValidationError("stream_finished without matching start_stream")
         self._active_streams -= 1
 
     # -- memory -------------------------------------------------------------------

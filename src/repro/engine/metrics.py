@@ -15,6 +15,7 @@ all samples. The collector therefore exposes, per run:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -167,30 +168,69 @@ class EngineRunResult:
 
 
 class MetricsCollector:
-    """Accumulates raw observations and samples windows; engine-internal."""
+    """Accumulates raw observations and samples windows; engine-internal.
+
+    The request lifecycle appends task times to :attr:`task_values` and
+    responses to :attr:`responses`, arrays of doubles, and gates both on
+    :attr:`warmup` itself. :meth:`fold` moves them into their
+    :class:`RunningStats` and the reservoir with the same sequential
+    arithmetic as one ``add`` per value; the engine calls it every few
+    dozen requests, and it runs at each window close (:meth:`sample_window`)
+    and before every read of :attr:`task_stats`, :attr:`response_stats` or
+    :attr:`response_reservoir`. An array keeps 8 bytes per value and lets
+    each float object go at once, where a list would keep it alive.
+    """
 
     def __init__(self, warmup: float, *, trace: bool = False) -> None:
         self.warmup = warmup
         self.series = MetricSeries()
-        self.task_stats: dict[TaskType, RunningStats] = {t: RunningStats() for t in TaskType}
-        self.response_stats = RunningStats()
-        self.response_reservoir = ReservoirSampler(capacity=20000, seed=0)
-        self.completed = 0
+        #: post-warm-up task times and responses not folded yet.
+        self.task_values: dict[TaskType, array] = {t: array("d") for t in TaskType}
+        self.responses = array("d")
+        self._task_stats: dict[TaskType, RunningStats] = {t: RunningStats() for t in TaskType}
+        self._response_stats = RunningStats()
+        self._reservoir = ReservoirSampler(capacity=20000, seed=0)
         self.trace_enabled = trace
         self.traces: list[RequestTrace] = []
-        # window accumulators
+        # window accumulator
         self._win_responses = RunningStats()
-        self._win_completed = 0
 
     # -- raw observations -------------------------------------------------------
 
-    def record_response(self, response_time: float, now: float) -> None:
-        if now >= self.warmup:
-            self.response_stats.add(response_time)
-            self.response_reservoir.add(response_time)
-            self.completed += 1
-            self._win_responses.add(response_time)
-            self._win_completed += 1
+    def fold(self) -> None:
+        """Fold the pending task times and responses into the statistics."""
+        responses = self.responses
+        if responses:
+            self._response_stats.extend(responses)
+            self._reservoir.extend(responses)
+            self._win_responses.extend(responses)
+            del responses[:]
+        stats = self._task_stats
+        for task, values in self.task_values.items():
+            if values:
+                stats[task].extend(values)
+                del values[:]
+
+    @property
+    def task_stats(self) -> dict[TaskType, RunningStats]:
+        """Post-warm-up time statistics per pipeline task."""
+        self.fold()
+        return self._task_stats
+
+    @property
+    def response_stats(self) -> RunningStats:
+        self.fold()
+        return self._response_stats
+
+    @property
+    def response_reservoir(self) -> ReservoirSampler:
+        self.fold()
+        return self._reservoir
+
+    @property
+    def completed(self) -> int:
+        """Requests completed after the warm-up."""
+        return self._response_stats.count + len(self.responses)
 
     def record_trace(self, trace: RequestTrace, now: float) -> None:
         if self.trace_enabled and now >= self.warmup:
@@ -212,9 +252,11 @@ class MetricsCollector:
         pool_busy: dict[str, float],
     ) -> None:
         """Close the current window and append one sample per series."""
-        if self._win_responses.count:
-            self.series.user_response_time.append(now, self._win_responses.mean)
-        self.series.throughput.append(now, self._win_completed / interval)
+        self.fold()
+        window = self._win_responses
+        if window.count:
+            self.series.user_response_time.append(now, window.mean)
+        self.series.throughput.append(now, window.count / interval)
         self.series.cpu_usage.append(now, cpu_usage)
         self.series.gpu_utilization.append(now, gpu_utilization)
         self.series.gpu_power_w.append(now, gpu_power_w)
@@ -224,4 +266,3 @@ class MetricsCollector:
         for name, busy in pool_busy.items():
             self.series.pool_busy[name].append(now, busy)
         self._win_responses = RunningStats()
-        self._win_completed = 0

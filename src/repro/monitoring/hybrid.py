@@ -37,6 +37,8 @@ __all__ = ["EpochSample", "HybridAggregator"]
 
 #: standard-normal 95th percentile, used to fit lognormal tails.
 _Z95 = 1.6448536269514722
+#: the ``σ·√2`` factor of a fluid component's lognormal CDF.
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,6 @@ class _Component:
             self.mean = mean
             self.mu, self.sigma = _lognormal_from_mean_p95(mean, p95)
 
-    def cdf(self, x: float) -> float:
-        if self.samples is not None:
-            return bisect_right(self.samples, x) / len(self.samples)
-        if self.sigma == 0.0:
-            return 1.0 if x >= self.mean else 0.0
-        if x <= 0.0:
-            return 0.0
-        return 0.5 * (1.0 + math.erf((math.log(x) - self.mu) / (self.sigma * math.sqrt(2.0))))
-
     def upper(self) -> float:
         """A value with essentially all of this component's mass below it."""
         if self.samples is not None:
@@ -207,23 +200,47 @@ class HybridAggregator:
 
         Bisects ``q`` such that the completion-weighted mixture CDF reaches
         ``p`` — empirical CDFs for DES windows, fitted lognormals for fluid
-        epochs.
+        epochs. The mixture is the ``sum`` of the weighted component CDFs in
+        component order over the total weight (``sum``, not a ``+=`` loop:
+        from Python 3.12 ``sum`` of floats is compensated). Each CDF is
+        evaluated inline, with ``log(q)`` taken once per probe, through a
+        generator so that no per-probe list is held. The bisection stops at
+        its fixed point: once a step leaves both ends unchanged, every later
+        step would too.
         """
         if not 0.0 < p < 1.0:
             raise ValidationError(f"percentile must be in (0, 1), got {p}")
-        if not self._components:
+        components = self._components
+        if not components:
             raise ValidationError("no epochs with completions recorded")
-        total = sum(c.weight for c in self._components)
+        total = sum(c.weight for c in components)
+        log = math.log
+        erf = math.erf
 
         def mixture_cdf(x: float) -> float:
-            return sum(c.weight * c.cdf(x) for c in self._components) / total
+            positive = not x <= 0.0
+            lx = log(x) if positive else 0.0
+            return sum(
+                c.weight * (bisect_right(c.samples, x) / len(c.samples))
+                if c.samples is not None
+                else c.weight * (
+                    0.5 * (1.0 + erf((lx - c.mu) / (c.sigma * _SQRT2))) if positive else 0.0
+                )
+                if c.sigma != 0.0
+                else c.weight * (1.0 if x >= c.mean else 0.0)
+                for c in components
+            ) / total
 
-        lo, hi = 0.0, max(c.upper() for c in self._components)
+        lo, hi = 0.0, max(c.upper() for c in components)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if mixture_cdf(mid) < p:
+                if mid == lo:
+                    break
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         return 0.5 * (lo + hi)
 

@@ -218,7 +218,8 @@ class Environment:
         Hot attributes (heap, pop, slim pool) are aliased to locals so the
         dominant pop→pump→recycle cycle does no repeated attribute lookups.
         When neither stats nor a wall deadline is active, the per-event
-        bookkeeping disappears entirely and the carrier pump is inlined;
+        bookkeeping disappears entirely, the carrier pump is inlined and
+        an immediate grant resumes its process in place (DESIGN §9);
         otherwise stats are accumulated in locals and flushed once after
         the loop, and each event goes through :meth:`_dispatch`.
         """
@@ -262,42 +263,68 @@ class Environment:
 
                 # The carrier pump: resume the carried process's generator
                 # in place. A plain-delay yield re-arms a popped SlimDelay
-                # (zero allocation) or takes one from the pool.
+                # (zero allocation) or takes one from the pool. A yielded
+                # claim whose grant is the heap's next entry, with nobody
+                # and nothing subscribed, is popped here and pumped again
+                # in place: the next iteration would pop it and resume this
+                # process first anyway.
                 self._active_process = process
                 generator = process._generator
-                carrier = None
-                try:
-                    if event._ok:
-                        next_event = generator.send(event._value)
-                    else:
-                        event._defused = True
-                        next_event = generator.throw(event._value)
-                except StopIteration as stop:
-                    process._generator = None  # type: ignore[assignment]
-                    process.succeed(stop.value)
-                except BaseException as exc:  # noqa: BLE001 - via event
-                    process._generator = None  # type: ignore[assignment]
-                    process.fail(exc)
-                else:
-                    after = type(next_event)
-                    if after is float or after is int:
-                        if not (0 <= next_event < _INF):
-                            self._active_process = None
-                            raise ValueError(
-                                f"delay must be finite and >= 0, got {next_event}"
-                            )
-                        if kind is slim:
-                            carrier = event
+                while True:
+                    carrier = None
+                    try:
+                        if event._ok:
+                            next_event = generator.send(event._value)
                         else:
-                            carrier = slim_pool.pop() if slim_pool else self._new_slim()
-                            carrier.process = process
-                        self._eid += 1
-                        push(queue, (self._now + next_event, NORMAL, self._eid, carrier))
-                        process._target = carrier
-                    elif not process._wait(next_event):
-                        # Already-processed event: continue the pump
-                        # through the general resume path.
-                        process._resume(next_event)
+                            event._defused = True
+                            next_event = generator.throw(event._value)
+                    except StopIteration as stop:
+                        process._generator = None  # type: ignore[assignment]
+                        process.succeed(stop.value)
+                    except BaseException as exc:  # noqa: BLE001 - via event
+                        process._generator = None  # type: ignore[assignment]
+                        process.fail(exc)
+                    else:
+                        after = type(next_event)
+                        if after is float or after is int:
+                            if not (0 <= next_event < _INF):
+                                self._active_process = None
+                                raise ValueError(
+                                    f"delay must be finite and >= 0, got {next_event}"
+                                )
+                            if kind is slim:
+                                carrier = event
+                            else:
+                                carrier = slim_pool.pop() if slim_pool else self._new_slim()
+                                carrier.process = process
+                            self._eid += 1
+                            push(queue, (self._now + next_event, NORMAL, self._eid, carrier))
+                            process._target = carrier
+                        elif (
+                            after is request
+                            and not callbacks
+                            and queue
+                            and queue[0][3] is next_event
+                            and next_event.process is None
+                            and not next_event.callbacks
+                        ):
+                            # The in-place grant: still pushed and popped
+                            # (at the current time, so the clock stays).
+                            pop(queue)
+                            next_event.callbacks = None
+                            process._target = next_event
+                            if kind is slim:
+                                event.process = None
+                                if len(slim_pool) < _SLIM_POOL_MAX:
+                                    slim_pool.append(event)
+                            event = next_event
+                            kind = request
+                            continue
+                        elif not process._wait(next_event):
+                            # Already-processed event: continue the pump
+                            # through the general resume path.
+                            process._resume(next_event)
+                    break
                 self._active_process = None
                 if kind is slim:
                     if carrier is not event:

@@ -295,9 +295,11 @@ class Process(Event):
             if kind is float or kind is int:
                 # A raw number is a plain delay. The environment schedules
                 # the resume through a pooled SlimDelay, avoiding a fresh
-                # Event (and callback list) per simulated wait.
+                # Event (and callback list) per simulated wait. The process
+                # is no longer active even if the delay is rejected.
+                self.env._active_process = None
                 self._target = self.env._schedule_resume(self, next_event)
-                break
+                return
             if self._wait(next_event):
                 break
             # Already processed: continue immediately with its outcome.

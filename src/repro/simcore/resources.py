@@ -15,6 +15,7 @@ can compute exact windowed occupancy from integral deltas.
 from __future__ import annotations
 
 import heapq
+from array import array
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationError
@@ -26,9 +27,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Resource", "PriorityResource", "Request", "ResourceStats", "Store", "Container"]
 
+#: ``object.__new__``: builds a claim without a Python-level ``__init__``.
+_new_request = object.__new__
+
 
 class ResourceStats:
-    """Incremental occupancy/queue statistics for a :class:`Resource`."""
+    """Incremental occupancy/queue statistics for a :class:`Resource`.
+
+    Grant wait times are appended to :attr:`waits`, an array of doubles,
+    on the hot path and folded into :attr:`wait_times` (a
+    :class:`RunningStats`, the same sequential Welford arithmetic as one
+    ``add`` per wait) by :meth:`fold`, which the engine calls every few
+    dozen requests and every read of :attr:`wait_times` calls first.
+    """
 
     __slots__ = (
         "start_time",
@@ -37,7 +48,8 @@ class ResourceStats:
         "queue_integral",
         "grants",
         "releases",
-        "wait_times",
+        "waits",
+        "_wait_stats",
     )
 
     def __init__(self, now: float) -> None:
@@ -49,7 +61,22 @@ class ResourceStats:
         self.queue_integral = 0.0
         self.grants = 0
         self.releases = 0
-        self.wait_times = RunningStats()
+        #: wait times of the grants since the last :meth:`fold`.
+        self.waits = array("d")
+        self._wait_stats = RunningStats()
+
+    @property
+    def wait_times(self) -> RunningStats:
+        """Every grant's wait time so far."""
+        self.fold()
+        return self._wait_stats
+
+    def fold(self) -> None:
+        """Fold the pending wait times into :attr:`wait_times`."""
+        waits = self.waits
+        if waits:
+            self._wait_stats.extend(waits)
+            del waits[:]
 
     def advance(self, now: float, users: int, queued: int) -> None:
         """Accumulate integrals up to ``now`` given the *previous* state."""
@@ -76,28 +103,17 @@ class ResourceStats:
 class Request(Carrier):
     """A pending or granted claim on a :class:`Resource`.
 
-    Usable as a context manager: the claim is released (or cancelled, if
-    never granted) on exit. A claim is a carrier: the first process that
-    yields it waits in its ``process`` slot, and the run loop resumes that
-    process in place when the grant is popped.
+    Created only by :meth:`Resource.request`. Usable as a context manager:
+    the claim is released (or cancelled, if never granted) on exit. A
+    claim is a carrier: the first process that yields it waits in its
+    ``process`` slot, and the run loop resumes that process in place when
+    the grant is popped.
     """
 
     __slots__ = ("resource", "priority", "submit_time")
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        # Inlined Event.__init__: a claim is made several times per
-        # simulated request, so it skips the super() call.
-        env = resource.env
-        self.env = env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
-        self.process = None
-        self.resource = resource
-        self.priority = priority
-        self.submit_time = env._now
-        resource._claim(self)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a claim is created by Resource.request()")
 
     def __enter__(self) -> "Request":
         return self
@@ -149,8 +165,49 @@ class Resource:
     # -- core protocol --------------------------------------------------------
 
     def request(self, priority: int = 0) -> Request:
-        """Claim one unit of capacity; the returned event fires when granted."""
-        return Request(self, priority)
+        """Claim one unit of capacity; the returned event fires when granted.
+
+        Builds the claim and grants it at once if a unit is free, else
+        queues it. The statistics integrate over the state *before* the
+        claim joins, so a new request does not count as waiting over the
+        interval since the pool last changed. An uncontended claim is
+        granted in place, pushing the ``(now, URGENT, eid)`` heap key a
+        queued grant gets.
+        """
+        env = self.env
+        now = env._now
+        # Inlined Event.__init__: a claim is made several times per
+        # simulated request.
+        request = _new_request(Request)
+        request.env = env
+        request.callbacks = []
+        request._ok = True
+        request._defused = False
+        request.process = None
+        request.resource = self
+        request.priority = priority
+        request.submit_time = now
+        stats = self.stats
+        users = self.users
+        queue = self._queue
+        dt = now - stats.last_change
+        if dt > 0:
+            stats.busy_integral += len(users) * dt
+            stats.queue_integral += len(queue) * dt
+            stats.last_change = now
+        if queue or len(users) >= self.capacity:
+            request._value = PENDING
+            self._enqueue(request)
+            if len(users) < self.capacity:
+                self._grant_pending()
+            return request
+        users.append(request)
+        stats.grants += 1
+        stats.waits.append(0.0)
+        request._value = None
+        env._eid += 1
+        heapq.heappush(env._queue, (now, URGENT, env._eid, request))
+        return request
 
     def release(self, request: Request) -> None:
         """Return a granted claim, or cancel a still-queued one."""
@@ -179,35 +236,6 @@ class Resource:
             if self._queue:
                 self._grant_pending()
 
-    def _claim(self, request: Request) -> None:
-        """Grant a new claim at once if a unit is free, else queue it.
-
-        The statistics integrate over the state *before* the claim joins,
-        so a new request does not count as waiting over the interval since
-        the pool last changed. An uncontended claim is granted in place,
-        pushing the ``(now, URGENT, eid)`` heap key a queued grant gets.
-        """
-        env = self.env
-        now = env._now
-        stats = self.stats
-        users = self.users
-        queue = self._queue
-        dt = now - stats.last_change
-        if dt > 0:
-            stats.busy_integral += len(users) * dt
-            stats.queue_integral += len(queue) * dt
-            stats.last_change = now
-        if queue or len(users) >= self.capacity:
-            self._enqueue(request)
-            self._grant_pending()
-            return
-        users.append(request)
-        stats.grants += 1
-        stats.wait_times.add(0.0)
-        request._value = None
-        env._eid += 1
-        heapq.heappush(env._queue, (now, URGENT, env._eid, request))
-
     def _grant_pending(self) -> None:
         """Grant queued claims while capacity is free.
 
@@ -222,14 +250,14 @@ class Resource:
         env = self.env
         now = env._now
         stats = self.stats
-        wait_times = stats.wait_times
+        waits = stats.waits
         heap = env._queue
         push = heapq.heappush
         while queue and len(users) < capacity:
             nxt = self._dequeue()
             users.append(nxt)
             stats.grants += 1
-            wait_times.add(now - nxt.submit_time)
+            waits.append(now - nxt.submit_time)
             nxt._ok = True
             nxt._value = None
             env._eid += 1

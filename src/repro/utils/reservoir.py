@@ -9,6 +9,8 @@ stay O(capacity) in memory regardless of run length.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.errors import ValidationError
@@ -39,6 +41,15 @@ class ReservoirSampler:
         slot = int(self._rng.integers(0, self._seen))
         if slot < self.capacity:
             self._values[slot] = float(value)
+
+    def extend(self, values: Sequence[float]) -> None:
+        """Offer ``values`` in order: the same sample and draws as one :meth:`add` each."""
+        room = max(self.capacity - len(self._values), 0)
+        head = values[:room]
+        self._values.extend(map(float, head))
+        self._seen += len(head)
+        for value in values[room:]:
+            self.add(value)
 
     @property
     def seen(self) -> int:

@@ -56,8 +56,41 @@ class RunningStats:
             self.maximum = value
 
     def extend(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.add(v)
+        """Fold ``values`` in order, bit for bit as one :meth:`add` each.
+
+        The loop is :meth:`add` with ``weight=1.0`` and the accumulator in
+        locals: ``(1.0 / total) * delta`` and ``delta * (value - mean)``
+        round exactly as ``(weight / total) * delta`` and ``weight * delta
+        * (value - mean)`` do, so how a stream is cut into calls never
+        changes the result. A value that fails ``float()`` stops the fold with
+        the values before it folded, as a failing :meth:`add` would.
+        """
+        count = self.count
+        total = self._weight
+        mean = self._mean
+        m2 = self._m2
+        minimum = self.minimum
+        maximum = self.maximum
+        try:
+            for value in values:
+                if type(value) is not float:
+                    value = float(value)
+                count += 1
+                total += 1.0
+                delta = value - mean
+                mean = mean + (1.0 / total) * delta
+                m2 += delta * (value - mean)
+                if value < minimum:
+                    minimum = value
+                if value > maximum:
+                    maximum = value
+        finally:
+            self.count = count
+            self._weight = total
+            self._mean = mean
+            self._m2 = m2
+            self.minimum = minimum
+            self.maximum = maximum
 
     def merge(self, other: "RunningStats") -> None:
         """Fold ``other`` into ``self`` (Chan et al. parallel variance)."""

@@ -155,8 +155,10 @@ class TestGpuModel:
 
     def test_stream_accounting(self):
         gpu = GpuModel(EngineModelParams())
-        assert gpu.stream_started() == 1
-        assert gpu.stream_started() == 2
+        assert gpu.start_stream() == gpu.inference_time(1)
+        assert gpu.active_streams == 1
+        assert gpu.start_stream() == gpu.inference_time(2)
+        assert gpu.active_streams == 2
         gpu.stream_finished()
         assert gpu.active_streams == 1
         gpu.stream_finished()

@@ -151,3 +151,38 @@ class TestFastForward:
             env.fast_forward(-1.0)
         with pytest.raises(ValueError):
             env.fast_forward(float("inf"))
+
+
+class TestRejectedRawDelay:
+    """A process yielding an invalid raw delay leaves no active process.
+
+    Both run loops raise ``ValueError``; neither may leave
+    ``env.active_process`` pointing at the process that yielded it.
+    """
+
+    @pytest.mark.parametrize("stats", [False, True], ids=["fast-loop", "stats-loop"])
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")], ids=["nan", "neg", "inf"])
+    def test_run_clears_active_process(self, stats, bad):
+        env = simcore.Environment()
+        if stats:
+            env.enable_stats()
+
+        def proc():
+            yield 1.0
+            yield bad
+
+        env.process(proc())
+        with pytest.raises(ValueError):
+            env.run()
+        assert env.active_process is None
+
+    def test_step_clears_active_process(self):
+        env = simcore.Environment()
+
+        def proc():
+            yield float("nan")
+
+        env.process(proc())
+        with pytest.raises(ValueError):
+            env.step()
+        assert env.active_process is None

@@ -530,3 +530,151 @@ class TestRelease:
         env.run()
         assert log == [("interrupted", 1.0, 0)]
         assert pool.users == [] and pool.queue_length == 0
+
+
+# -- in-place grants: the uninstrumented loop against the stats loop ---------
+
+_HOLD = st.sampled_from([0, 0.5, 1, 1.5])
+_OPS = st.one_of(
+    st.tuples(st.just("delay"), _HOLD),
+    st.tuples(st.just("timeout"), _HOLD),
+    # (op, pool, priority, hold, spawn a child before the request, push an
+    # event after it, callback added before the yield, yield it again)
+    st.tuples(
+        st.just("claim"),
+        st.integers(0, 1),
+        st.integers(0, 3),
+        _HOLD,
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    ),
+    # a second process waits on the same claim; with ``chain`` the owner
+    # then claims the other pool at once, while the waiter is still due
+    st.tuples(st.just("shared"), st.integers(0, 1), _HOLD, st.booleans()),
+)
+_SCRIPTS = st.lists(st.lists(_OPS, min_size=1, max_size=6), min_size=1, max_size=5)
+_INTERRUPTS = st.lists(st.tuples(st.sampled_from([0, 0.5, 1, 2]), st.integers(0, 4)), max_size=3)
+
+
+def _run_script(stats, scripts, interrupts, capacities):
+    """Run the process ``scripts``; returns the ``(time, process, step, ...)`` trace."""
+    env = simcore.Environment()
+    if stats:
+        env.enable_stats()
+    pools = [
+        simcore.Resource(env, capacities[0], name="fifo"),
+        simcore.PriorityResource(env, capacities[1], name="prio"),
+    ]
+    log = []
+
+    def child(name, claim):
+        got = yield claim
+        log.append((env.now, name, "child", got))
+
+    def waiter(name, claim):
+        got = yield claim
+        log.append((env.now, name, "shared-waiter", got, claim.processed))
+
+    def worker(name, ops):
+        for step, op in enumerate(ops):
+            try:
+                kind = op[0]
+                if kind == "delay":
+                    yield op[1]
+                elif kind == "timeout":
+                    yield env.timeout(op[1])
+                elif kind == "claim":
+                    _, index, priority, hold, spawn, push, callback, again = op
+                    pool = pools[index]
+                    if spawn:
+                        env.process(child(f"{name}.{step}", env.timeout(0)))
+                    with pool.request(priority=priority) as claim:
+                        if push:
+                            env.timeout(0)
+                            env.process(child(f"{name}.{step}+", claim))
+                        if callback:
+                            claim.callbacks.append(
+                                lambda event, tag=(name, step): log.append((env.now, *tag, "cb"))
+                            )
+                        got = yield claim
+                        log.append((env.now, name, step, "granted", got))
+                        if again:
+                            got = yield claim
+                            log.append((env.now, name, step, "again", got))
+                        yield hold
+                else:
+                    _, index, hold, chain = op
+                    with pools[index].request() as claim:
+                        env.process(waiter(f"{name}.{step}", claim))
+                        yield claim
+                        log.append((env.now, name, step, "shared"))
+                        if chain:
+                            with pools[1 - index].request() as other:
+                                got = yield other
+                                log.append((env.now, name, step, "chained", got))
+                                yield hold
+                        yield hold
+                log.append((env.now, name, step, "done"))
+            except simcore.Interrupt as interrupt:
+                log.append((env.now, name, step, "interrupted", interrupt.cause))
+
+    def interrupter(targets):
+        for delay, index in interrupts:
+            yield delay
+            target = targets[index % len(targets)]
+            if target.is_alive:
+                target.interrupt(f"at {env.now}")
+
+    targets = [env.process(worker(f"w{i}", ops), name=f"w{i}") for i, ops in enumerate(scripts)]
+    env.process(interrupter(targets), name="interrupter")
+    env.run()
+    ends = [
+        (p.stats.grants, p.stats.releases, p.stats.busy_integral, p.stats.queue_integral,
+         p.stats.wait_times.count, p.stats.wait_times.mean if p.stats.wait_times.count else None)
+        for p in pools
+    ]
+    return log, env.now, ends
+
+
+class TestInPlaceGrantDifferential:
+    """The uninstrumented loop pops an immediate grant and resumes in place.
+
+    Random process scripts on a FIFO and a priority pool must give the
+    same trace as the stats loop, which dispatches every heap entry
+    through the general path: claims yielded after other events were
+    pushed, claims yielded again once processed (also with an empty
+    heap), callbacks added before the yield, two waiters on one claim and
+    interrupts while queued.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scripts=_SCRIPTS,
+        interrupts=_INTERRUPTS,
+        capacities=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    )
+    def test_fast_loop_matches_stats_loop(self, scripts, interrupts, capacities):
+        fast = _run_script(False, scripts, interrupts, capacities)
+        slow = _run_script(True, scripts, interrupts, capacities)
+        assert fast == slow
+
+    def test_claim_yielded_again_on_an_empty_heap(self):
+        for stats in (False, True):
+            env = simcore.Environment()
+            if stats:
+                env.enable_stats()
+            pool = simcore.Resource(env, capacity=1)
+            log = []
+
+            def proc():
+                claim = pool.request()
+                log.append((yield claim))
+                assert env.peek() == float("inf")  # nothing left on the heap
+                log.append((yield claim))
+                pool.release(claim)
+
+            env.process(proc())
+            env.run()
+            assert log == [None, None]

@@ -49,3 +49,19 @@ class TestSeedSequenceFactory:
         factory = SeedSequenceFactory(5)
         seeds = list(factory.seeds("reps", 20))
         assert len(set(seeds)) == 20
+
+
+class TestBenchSeed:
+    def test_bench_scenarios_take_the_seed_from_the_environment(self, monkeypatch):
+        import importlib
+
+        import benchmarks.conftest as bench
+
+        try:
+            monkeypatch.setenv("REPRO_BENCH_SEED", "7")
+            assert importlib.reload(bench).SEED == 7
+            monkeypatch.delenv("REPRO_BENCH_SEED")
+            assert importlib.reload(bench).SEED == 2021
+        finally:
+            monkeypatch.undo()
+            importlib.reload(bench)
