@@ -252,7 +252,7 @@ class Optimizer:
             return get_surrogate(self.base_estimator)
 
     def _fit_model(self, model: SurrogateModel, X: np.ndarray, y: np.ndarray) -> None:
-        """Fit + observability: a ``refit`` span (the latency digest's source)."""
+        """Fit + observability: a ``refit`` span (the ``refit`` latency op's source)."""
         start = time.perf_counter()
         try:
             model.fit(X, y)

@@ -53,7 +53,7 @@ Subcommands::
         e2ebench or ``BENCH_*.json`` result) as a committed baseline;
         ``diff`` compares two profiles and exits non-zero when any watched
         quantile regressed beyond the threshold (with a bootstrap
-        significance check when both sides carry samples or digests).
+        significance check when both sides carry raw samples).
 
 Also reachable as ``python -m repro ...``.
 """

@@ -2,7 +2,7 @@
 
 Spans are the only telemetry record; everything else is derived from them.
 All of it is zero-cost when disabled (the default is a no-op tracer, which
-carries no registry and no digests):
+carries no registry and no latency record):
 
 - :mod:`repro.observability.trace` — nested spans with wall *and* simulated
   clocks, covering every phase of the cycle (deploy → execute → optimize →
@@ -22,16 +22,17 @@ carries no registry and no digests):
   storms) emitting rate-limited structured alerts;
 - :mod:`repro.observability.dashboard` — a self-contained HTML timeline
   (``python -m repro dashboard <run-dir>``), no external assets;
-- :mod:`repro.observability.digest` — mergeable latency digests on every
+- :mod:`repro.observability.digest` — exact latency samples of every
   hot-path op (suggest/tell/evaluate/queue-wait/deploy/cache/DES), derived
   from the spans: the recording tracer feeds each finished span through
   one span-name → op table into ``tracer.perf``, exported as
-  ``perf_profile.json`` plus Prometheus summary series;
+  ``perf_profile.json`` (the same ops block the benchmarks write) plus
+  Prometheus summary series;
 - :mod:`repro.observability.fabric` — the cross-process telemetry fabric:
   process-pool and store workers record spans locally, ship them in each
   trial's outcome, and the parent merges them under the trial span with
-  ``runner_id``/``pid`` attribution (deriving digests and metrics from the
-  worker spans there, once); payloads carry spans only;
+  ``runner_id``/``pid`` attribution (deriving latency samples and metrics
+  from the worker spans there, once); payloads carry spans only;
 - :mod:`repro.observability.perf` — perf baselines and the regression gate
   (``python -m repro perf record|diff``);
 - :mod:`repro.observability.live` — the live telemetry plane: an embedded
@@ -42,7 +43,7 @@ carries no registry and no digests):
   by code that serves or reads a monitor, and is not re-exported here.
 
 The process-global tracer is the only telemetry slot: its
-digests (``tracer.perf``), metrics (``tracer.metrics``) and attached
+latency samples (``tracer.perf``), metrics (``tracer.metrics``) and attached
 watchdog (``tracer.watchdog``) hang off it.
 
 ``python -m repro report <run-dir>`` renders the exported artifacts
@@ -74,7 +75,7 @@ from repro.observability.analysis import (
     write_trace_events,
 )
 from repro.observability.dashboard import render_dashboard, write_dashboard
-from repro.observability.digest import PERF_PROFILE_FILE, LatencyDigest, PerfRecorder
+from repro.observability.digest import PERF_PROFILE_FILE, PerfRecorder
 from repro.observability.fabric import (
     activate_worker,
     drain_worker,
@@ -147,7 +148,6 @@ __all__ = [
     "CampaignWatchdog",
     "WatchdogConfig",
     "load_alerts",
-    "LatencyDigest",
     "PerfRecorder",
     "PERF_PROFILE_FILE",
     "activate_worker",
@@ -164,9 +164,9 @@ __all__ = [
 def enable() -> RecordingTracer:
     """Install a recording tracer globally and return it.
 
-    The tracer's latency digests (``tracer.perf``) and metrics registry
+    The tracer's latency samples (``tracer.perf``) and metrics registry
     (``tracer.metrics``) accumulate from its spans, so every hot-path op is
-    digested and metered as it finishes.
+    recorded and metered as it finishes.
     """
     tracer = RecordingTracer()
     set_tracer(tracer)
@@ -181,8 +181,8 @@ def disable() -> None:
 def export(run_dir: str | Path) -> list[Path]:
     """Write the global tracer's artifacts into ``run_dir``.
 
-    Only a recording tracer exports spans, metrics and digests; returns the
-    paths written.
+    Only a recording tracer exports spans, metrics and latency samples;
+    returns the paths written.
     """
     run_dir = Path(run_dir)
     written: list[Path] = []

@@ -267,7 +267,7 @@ function perf() {
   const host = document.getElementById("perf");
   const ops = (DATA.perf && DATA.perf.ops) || {};
   const names = Object.keys(ops).sort();
-  if (!names.length) { host.innerHTML = "<div class='empty'>no latency digests (run without perf recording)</div>"; return; }
+  if (!names.length) { host.innerHTML = "<div class='empty'>no latency samples (run without perf recording)</div>"; return; }
   const cell = v => {
     if (typeof v !== "number" || Number.isNaN(v)) return "–";
     if (v < 1e-3) return (v * 1e6).toFixed(1) + " µs";

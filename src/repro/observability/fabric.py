@@ -17,8 +17,8 @@ in three moves:
    ids, rebases the worker clock onto the parent tracer's timeline (via
    each tracer's ``started_at`` wall timestamp) and stamps ``runner_id`` /
    ``pid`` attribution onto every span. Merged spans stream through the
-   parent tracer's latency digests, metrics registry and subscribers, so
-   worker-side ops are digested and metered exactly once, in the parent,
+   parent tracer's latency record, metrics registry and subscribers, so
+   worker-side ops are recorded and metered exactly once, in the parent,
    and the live watchdog sees them too.
 
 The payload carries one record type, spans, as a plain dict of JSON types,

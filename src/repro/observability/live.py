@@ -1,13 +1,13 @@
 """The live telemetry plane: an in-campaign HTTP monitor.
 
 Every other observability surface in this package is post-hoc — spans,
-digests, alerts and perf profiles land in files and are rendered after the
+latency samples, alerts and perf profiles land in files and are rendered after the
 run. The live plane attaches a stdlib :class:`ThreadingHTTPServer` to a
 *running* campaign (opt-in via ``optimize --serve [host:]port`` or
 ``OptimizerConf.serve``) and exposes:
 
 - ``GET /metrics`` — Prometheus text exposition from the tracer's
-  span-derived registry and perf-digest summaries, plus ``repro_live_*``
+  span-derived registry and latency summaries, plus ``repro_live_*``
   self-metrics;
 - ``GET /status`` — campaign JSON: phase, trial counts, incumbent and
   objective-history tail derived from the span stream, and worker
@@ -208,7 +208,7 @@ class LiveMonitor:
     tracer and the watchdog attached to it, and writes the ``monitor.json``
     discovery file; :meth:`stop` reverses all of it. The server never
     touches campaign state directly: it reads the process-global tracer
-    (spans, metrics, digests, ``tracer.watchdog``) and owns the
+    (spans, metrics, latency samples, ``tracer.watchdog``) and owns the
     :attr:`board` it feeds from that tracer's span stream, so it serves
     whatever the campaign records.
     """
@@ -449,7 +449,7 @@ class LiveMonitor:
     # -- endpoint payloads ----------------------------------------------------
 
     def render_metrics(self) -> str:
-        """Prometheus text: tracer metrics + perf digests + self-metrics."""
+        """Prometheus text: tracer metrics + latency summaries + self-metrics."""
         parts = []
         tracer = get_tracer()
         if tracer.metrics is not None:

@@ -5,7 +5,7 @@ Spans are the only telemetry record hot paths emit. Every
 :class:`~repro.observability.trace.RecordingTracer` owns one
 :class:`MetricsRegistry` (``tracer.metrics``) and feeds it each finished
 span — its own and those ingested from worker processes — through one
-table, :data:`SPAN_METRICS`, beside the digest table
+table, :data:`SPAN_METRICS`, beside the latency-op table
 :data:`repro.observability.digest.SPAN_OPS`. Worker spans are therefore
 turned into metrics exactly once, in the parent, and fabric payloads carry
 spans only. The registry exports to two formats:

@@ -1,31 +1,32 @@
 """Perf baselines and the regression gate (``python -m repro perf``).
 
-Closes the loop the bench trajectory was missing: a run's latency digests
+Closes the loop the bench trajectory was missing: a run's latency samples
 (``perf_profile.json``) or a benchmark record become a committed
 *baseline*, and every later run diffs against it with a non-zero exit on
 regression, so CI can hold the line on the hot-path latencies the paper's
 reproducibility claim rests on.
 
 Every source is one JSON object with an ``ops`` block mapping an op name
-to one entry, in one of three forms:
+to one entry, in one of two forms:
 
 - raw samples ``{"unit": "s", "count": n, "samples": [...]}`` — the
-  ``e2ebench/run.py`` records and the ``BENCH_*.json`` files the CI
-  benchmarks write (``benchmarks/conftest.py::save_bench``);
-- a latency digest next to its ``count``/``mean``/``p50``/``p90``/``p99``
-  rollup — ``perf_profile.json`` (or a run directory holding one);
-- the rollup alone.
+  ``e2ebench/run.py`` records, the ``BENCH_*.json`` files the CI
+  benchmarks write (``benchmarks/conftest.py::save_bench``) and
+  ``perf_profile.json`` (or a run directory holding one), which adds the
+  ``mean``/``p50``/``p90``/``p99`` rollup of the same samples;
+- the ``count``/``mean``/``p50``/``p90``/``p99`` rollup alone (a
+  ``repro.perf_profile/1`` profile loads this way).
 
 A recorded baseline is the same block re-written. An entry whose ``unit``
 is present must be seconds; a document without an ``ops`` block is
 rejected.
 
 The statistical test: each compared quantile regresses when its point
-ratio exceeds ``1 + threshold`` *and*, when both sides carry samples (raw,
-or reconstructed from a digest), the bootstrap confidence interval of the
-ratio excludes 1 — identical runs diff clean, noise without signal diffs
-clean, a real 2× shift fails the gate. With fewer than eight samples on a
-side the point ratio alone decides.
+ratio exceeds ``1 + threshold`` *and*, when both sides carry raw samples,
+the bootstrap confidence interval of the ratio excludes 1 — identical runs
+diff clean, noise without signal diffs clean, a real 2× shift fails the
+gate. With fewer than eight samples on a side the point ratio alone
+decides.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.errors import ValidationError
-from repro.observability.digest import PERF_PROFILE_FILE, LatencyDigest
+from repro.observability.digest import PERF_PROFILE_FILE, PERF_QUANTILES, quantile_of, summarize
 
 __all__ = [
     "OpStats",
@@ -52,20 +53,16 @@ __all__ = [
 #: schema tag written into recorded baselines.
 BASELINE_SCHEMA = "repro.perf_baseline/1"
 
-#: quantile keys a profile may carry, in comparison order.
-_QUANTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
-
 
 @dataclass
 class OpStats:
-    """One op's latency statistics, with its raw samples or digest when
-    the source carries them."""
+    """One op's latency statistics, with its raw samples when the source
+    carries them."""
 
     op: str
     count: float = 0.0
     mean: float = math.nan
     quantiles: dict[str, float] = field(default_factory=dict)
-    digest: Optional[LatencyDigest] = None
     samples: Optional[list[float]] = None
 
     def value(self, key: str) -> Optional[float]:
@@ -77,19 +74,11 @@ class OpStats:
             return None
         return value
 
-    def bootstrap_samples(self) -> Optional[list[float]]:
-        """The raw samples, else the digest's reconstructed ones."""
-        if self.samples is not None:
-            return self.samples
-        return self.digest.samples() if self.digest is not None else None
-
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"count": self.count, "mean": self.mean, **self.quantiles}
         if self.samples is not None:
             out["unit"] = "s"
             out["samples"] = list(self.samples)
-        if self.digest is not None:
-            out["digest"] = self.digest.to_dict()
         return out
 
 
@@ -124,38 +113,31 @@ def _parse_ops(ops: Mapping[str, Any]) -> dict[str, OpStats]:
         if raw is not None:
             out[str(op)] = _from_samples(str(op), raw)
             continue
-        stats = OpStats(
+        out[str(op)] = OpStats(
             op=str(op),
             count=float(entry.get("count", 0.0)),
             mean=float(entry.get("mean", math.nan)),
             quantiles={
                 key: float(entry[key])
-                for key, _ in _QUANTILES
+                for key, _ in PERF_QUANTILES
                 if isinstance(entry.get(key), (int, float))
             },
         )
-        digest_data = entry.get("digest")
-        if isinstance(digest_data, Mapping):
-            try:
-                stats.digest = LatencyDigest.from_dict(digest_data)
-            except (TypeError, ValueError):
-                stats.digest = None
-        out[stats.op] = stats
     return out
 
 
 def _from_samples(op: str, raw: Any) -> OpStats:
-    """Statistics of a raw-sample entry (linear-interpolated quantiles)."""
+    """Statistics of a raw-sample entry (the recorder's own rollup)."""
     try:
         samples = [float(v) for v in raw]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"op {op!r} samples are not a list of numbers") from exc
-    ordered = sorted(samples)
+    stats = summarize(samples)
     return OpStats(
         op=op,
         count=float(len(samples)),
-        mean=math.fsum(samples) / len(samples) if samples else math.nan,
-        quantiles={key: _quantile_of(ordered, q) for key, q in _QUANTILES} if samples else {},
+        mean=stats["mean"],
+        quantiles={key: stats[key] for key, _ in PERF_QUANTILES} if samples else {},
         samples=samples,
     )
 
@@ -249,16 +231,6 @@ def _fmt_seconds(value: float) -> str:
     return f"{value:.3f}s"
 
 
-def _quantile_of(sorted_values: Sequence[float], q: float) -> float:
-    if not sorted_values:
-        return math.nan
-    pos = q * (len(sorted_values) - 1)
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
-
-
 def _bootstrap_significant(
     base_samples: Sequence[float],
     cand_samples: Sequence[float],
@@ -282,14 +254,14 @@ def _bootstrap_significant(
     for _ in range(rounds):
         b = sorted(base_samples[rng.randrange(nb)] for _ in range(nb))
         c = sorted(cand_samples[rng.randrange(nc)] for _ in range(nc))
-        bq = _quantile_of(b, q)
-        cq = _quantile_of(c, q)
+        bq = quantile_of(b, q)
+        cq = quantile_of(c, q)
         if bq > 0:
             ratios.append(cq / bq)
     if not ratios:
         return True
     ratios.sort()
-    lower = _quantile_of(ratios, 1.0 - confidence)
+    lower = quantile_of(ratios, 1.0 - confidence)
     return lower > 1.0
 
 
@@ -313,7 +285,7 @@ def diff_profiles(
     cand_ops = candidate if isinstance(candidate, Mapping) else load_profile(candidate)
     wanted = set(ops) if ops else None
     diff = PerfDiff(threshold=float(threshold))
-    q_of = dict(_QUANTILES)
+    q_of = dict(PERF_QUANTILES)
     for op in sorted(set(base_ops) | set(cand_ops)):
         if wanted is not None and op not in wanted:
             continue
@@ -358,12 +330,10 @@ def _compare_stat(
     significant = None
     if ratio > 1.0 + threshold:
         significant = True
-        base_samples = base.bootstrap_samples()
-        cand_samples = cand.bootstrap_samples()
-        if q is not None and base_samples is not None and cand_samples is not None:
+        if q is not None and base.samples is not None and cand.samples is not None:
             significant = _bootstrap_significant(
-                base_samples,
-                cand_samples,
+                base.samples,
+                cand.samples,
                 q,
                 rounds=bootstrap_rounds,
                 confidence=confidence,

@@ -15,10 +15,10 @@ stores them on :attr:`Trial.cost <repro.search.trial.Trial.cost>`;
 into the Phase III :class:`~repro.optimizer.summary.ReproducibilitySummary`,
 so a summary can explain where its own wall-clock went.
 
-Beyond the pooled sums, the profile now carries per-component latency
-*percentiles* (p50/p90/p99 via :class:`~repro.observability.digest.
-LatencyDigest`) — means hide the tail, and the tail is exactly what the
-perf-regression gate watches.
+Beyond the pooled sums, the profile carries per-component latency
+*percentiles* (p50/p90/p99 of the trials' exact values, by the shared
+:func:`~repro.observability.digest.quantile_of`) — means hide the tail,
+and the tail is exactly what the perf-regression gate watches.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.observability.digest import LatencyDigest
+from repro.observability.digest import PERF_QUANTILES, quantile_of
 
 __all__ = ["CostBreakdown", "aggregate_costs", "COST_COMPONENTS"]
 
@@ -122,7 +122,7 @@ def aggregate_costs(costs: Iterable[Mapping[str, float]]) -> CostBreakdown:
     whole campaign profile into NaN.
     """
     out = CostBreakdown()
-    digests = {key: LatencyDigest() for key in PERCENTILE_COMPONENTS}
+    pools: dict[str, list[float]] = {key: [] for key in PERCENTILE_COMPONENTS}
     for cost in costs:
         if not cost:
             continue
@@ -133,11 +133,11 @@ def aggregate_costs(costs: Iterable[Mapping[str, float]]) -> CostBreakdown:
             value = _finite(cost[key])
             if value is not None:
                 setattr(out, key, getattr(out, key) + value)
-                digests[key].add(value)
+                pools[key].append(value)
         wait = _finite(cost.get("queue_wait_s"))
         if wait is not None:
             out.queue_wait_s += wait
-            digests["queue_wait_s"].add(wait)
+            pools["queue_wait_s"].append(wait)
         for attr, key in (
             ("retries", "retries"),
             ("timeouts", "timeouts"),
@@ -146,12 +146,8 @@ def aggregate_costs(costs: Iterable[Mapping[str, float]]) -> CostBreakdown:
             value = _finite(cost.get(key, 0))
             if value is not None:
                 setattr(out, attr, getattr(out, attr) + int(value))
-    for key, digest in digests.items():
-        if digest.count:
-            stats = digest.percentiles()
-            out.percentiles[key] = {
-                "p50": stats["p50"],
-                "p90": stats["p90"],
-                "p99": stats["p99"],
-            }
+    for key, values in pools.items():
+        if values:
+            values.sort()
+            out.percentiles[key] = {name: quantile_of(values, q) for name, q in PERF_QUANTILES}
     return out

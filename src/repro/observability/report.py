@@ -51,7 +51,7 @@ class RunArtifacts:
     manifest: dict[str, Any] = field(default_factory=dict)
     trials: list[dict[str, Any]] = field(default_factory=list)
     alerts: list[dict[str, Any]] = field(default_factory=list)
-    #: the exported latency-digest profile (``perf_profile.json``).
+    #: the exported latency profile (``perf_profile.json``).
     perf: dict[str, Any] = field(default_factory=dict)
 
 

@@ -27,7 +27,7 @@ Spans nest per-thread (a thread-local stack, not contextvars, so worker
 threads of a :class:`~concurrent.futures.ThreadPoolExecutor` start clean);
 cross-thread parentage is passed explicitly via ``parent=``.
 
-A recording tracer also derives the hot-path latency digests and the
+A recording tracer also derives the hot-path latency samples and the
 metrics registry: every span it finishes or ingests passes once through
 :data:`repro.observability.digest.SPAN_OPS` into ``tracer.perf`` and
 through :data:`repro.observability.metrics.SPAN_METRICS` into
@@ -167,7 +167,7 @@ class Tracer:
 
     #: instrumentation sites branch on this to skip work entirely.
     enabled: bool = False
-    #: latency digests derived from the finished spans (recording tracers).
+    #: latency samples derived from the finished spans (recording tracers).
     perf: Optional[PerfRecorder] = None
     #: metrics derived from the finished spans (recording tracers).
     metrics: Optional[MetricsRegistry] = None
@@ -232,9 +232,9 @@ class RecordingTracer(Tracer):
         #: wall-clock timestamp of the epoch, for report headers and for
         #: rebasing spans merged from other processes (the telemetry fabric).
         self.started_at = time.time()
-        #: every finished span (own and ingested) is digested here, once,
+        #: every finished span (own and ingested) is recorded here, once,
         #: and turned into registry metrics, once.
-        self.perf = PerfRecorder(started_at=self.started_at)
+        self.perf = PerfRecorder()
         self.metrics = MetricsRegistry()
         self._next_id = 0
         self._finished: list[Span] = []
@@ -359,11 +359,15 @@ class RecordingTracer(Tracer):
         """Remove and return every finished span (the worker-side drain).
 
         Workers drain after each trial so the payload shipped back to the
-        parent never double counts a span across trials.
+        parent never double counts a span across trials. The parent
+        re-derives the spans' latency samples as it merges them, so the
+        drain drops this tracer's own samples too: a long-lived worker's
+        memory does not grow with the spans it has already shipped.
         """
         with self._lock:
             spans = self._finished
             self._finished = []
+            self.perf = PerfRecorder()
             return spans
 
     def ingest(
@@ -381,7 +385,7 @@ class RecordingTracer(Tracer):
         to ``parent`` (typically the trial span). ``epoch_unix`` — the
         foreign tracer's ``started_at`` — rebases the foreign clock onto
         this tracer's timeline. ``attributes`` (``runner_id``/``pid``/...)
-        are stamped onto every merged span. The latency digests, the
+        are stamped onto every merged span. The latency samples, the
         metrics registry and the subscribers (the live watchdog) see each
         merged span exactly as if it finished locally.
 

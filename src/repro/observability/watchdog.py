@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.errors import ValidationError
-from repro.observability.digest import LatencyDigest
+from repro.observability.digest import quantile_of
 from repro.observability.metrics import faults_injected
 from repro.observability.trace import SCALAR_METRIC
 
@@ -81,7 +81,7 @@ class WatchdogConfig:
     #: percentile-based tail rule: fire when an execute span exceeds
     #: ``tail_factor`` × the running ``tail_quantile`` duration. Disabled by
     #: default (``tail_factor=0``) — the z-score straggler rule is cheaper
-    #: and the digest-backed rule is opt-in for long campaigns.
+    #: and the quantile rule is opt-in for long campaigns.
     tail_quantile: float = 0.99
     tail_factor: float = 0.0
 
@@ -162,8 +162,6 @@ class CampaignWatchdog:
         self._counts: dict[str, int] = {}
         self._suppressed = 0
         self._durations: list[float] = []
-        #: digest behind the opt-in percentile tail rule.
-        self._duration_digest = LatencyDigest()
         self._objectives: list[float] = []
         self._best = math.inf
         self._since_improve = 0
@@ -209,13 +207,11 @@ class CampaignWatchdog:
         with self._lock:
             baseline = list(self._durations)
             self._durations.append(float(duration))
-            tail_threshold = None
-            if self.config.tail_factor > 0:
-                if self._duration_digest.count >= self.config.straggler_min_trials:
-                    tail_threshold = self.config.tail_factor * self._duration_digest.quantile(
-                        self.config.tail_quantile
-                    )
-                self._duration_digest.add(float(duration))
+        tail_threshold = None
+        if self.config.tail_factor > 0 and len(baseline) >= self.config.straggler_min_trials:
+            tail_threshold = self.config.tail_factor * quantile_of(
+                sorted(baseline), self.config.tail_quantile
+            )
         if span.status != "ok":
             self._record_fault(when, trial_id, span.error)
             return
@@ -485,9 +481,8 @@ class CampaignWatchdog:
             for record in records:
                 cost = record.get("cost") or {}
                 duration = cost.get("evaluate_s")
-                if isinstance(duration, (int, float)) and duration == duration:
+                if isinstance(duration, (int, float)) and math.isfinite(duration):
                     self._durations.append(float(duration))
-                    self._duration_digest.add(float(duration))
                 result = record.get("result") or {}
                 value = result.get(self.config.metric)
                 if isinstance(value, (int, float)) and value == value:

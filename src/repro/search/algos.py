@@ -76,15 +76,6 @@ class SearchAlgorithm(abc.ABC):
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore :meth:`state_dict` output (no-op for stateless searchers)."""
 
-    def fit_count(self) -> int:
-        """Monotonic count of inline (ask-blocking) surrogate fits.
-
-        The trial runner compares it around a suggest call to classify the
-        latency as fit-bearing (``suggest_fit``) or amortized (``suggest``).
-        Always 0 for model-free searchers.
-        """
-        return 0
-
     def close(self) -> None:
         """Release background resources (refit worker threads); idempotent."""
 
@@ -152,9 +143,6 @@ class SurrogateSearch(SearchAlgorithm):
         optimizer_state = state.get("optimizer")
         if optimizer_state:
             self.optimizer.restore_state(optimizer_state)
-
-    def fit_count(self) -> int:
-        return self.optimizer.n_fits
 
     def close(self) -> None:
         self.optimizer.close()
@@ -255,9 +243,6 @@ class ConcurrencyLimiter(SearchAlgorithm):
 
     def load_state(self, state: dict[str, Any]) -> None:
         self.searcher.load_state(state)
-
-    def fit_count(self) -> int:
-        return self.searcher.fit_count()
 
     def close(self) -> None:
         self.searcher.close()

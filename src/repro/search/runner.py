@@ -225,10 +225,8 @@ class TrialRunner:
 
     # -- observability hooks ---------------------------------------------------------
 
-    def _ask(self, trial_ids: list[str]) -> tuple[list[dict[str, Any]], float, bool]:
-        """Time one ask; returns the configs, the per-config cost, and
-        whether the ask blocked on an inline surrogate fit."""
-        fits_before = self.search_alg.fit_count()
+    def _ask(self, trial_ids: list[str]) -> tuple[list[dict[str, Any]], float]:
+        """Time one ask; returns the configs and the per-config cost."""
         start = time.perf_counter()
         if len(trial_ids) == 1:
             config = self.search_alg.suggest(trial_ids[0])
@@ -236,16 +234,10 @@ class TrialRunner:
         else:
             configs = self.search_alg.suggest_batch(trial_ids)
         elapsed = time.perf_counter() - start
-        fit = self.search_alg.fit_count() > fits_before
-        return configs, elapsed / len(configs) if configs else elapsed, fit
+        return configs, elapsed / len(configs) if configs else elapsed
 
-    def _open_trial(self, trial: Trial, suggest_s: float, *, fit: bool, batch: int) -> None:
-        """Record the suggest cost; open the trial span if tracing.
-
-        The suggest child span carries ``fit`` and ``batch`` (the ask's size
-        on its first trial, 0 on the rest) so the latency digests keep
-        fit-bearing asks apart from the amortized per-candidate hot path.
-        """
+    def _open_trial(self, trial: Trial, suggest_s: float) -> None:
+        """Record the suggest cost; open the trial span if tracing."""
         trial.cost["suggest_s"] = suggest_s
         tracer = self._tracer
         if not tracer.enabled:
@@ -255,7 +247,7 @@ class TrialRunner:
             f"trial:{trial.trial_id}", start=now - suggest_s, trial_id=trial.trial_id
         )
         self._trial_spans[trial.trial_id] = span
-        self._child_span(trial, "suggest", suggest_s, end=now, fit=fit, batch=batch)
+        self._child_span(trial, "suggest", suggest_s, end=now)
 
     def _close_trial(self, trial: Trial) -> None:
         tracer = self._tracer
@@ -284,10 +276,10 @@ class TrialRunner:
         """Emit one finished child of the trial span, ``duration_s`` long.
 
         The span ends at ``end`` on the tracer clock (default: now). Children
-        finish (and stream to subscribers and the latency digests) before
+        finish (and stream to subscribers and the latency record) before
         their trial parent, so each carries the trial identity itself, plus
-        the ``attributes`` the digest table reads (``fit``/``batch`` on
-        suggest, ``cache_hit``/``status`` on execute).
+        the ``attributes`` the span → op table reads (``cache_hit``/``status``
+        on execute).
         """
         tracer = self._tracer
         if not tracer.enabled:
@@ -443,16 +435,14 @@ class TrialRunner:
                     if want <= 0:
                         break
                     ids = [f"{self.name}_{created + k:05d}" for k in range(want)]
-                    configs, suggest_s, fit = self._ask(ids)
+                    configs, suggest_s = self._ask(ids)
                     if not configs:
                         if not futures:
                             exhausted = True  # nothing pending → truly done
                         break
-                    for k, config in enumerate(configs):
+                    for config in configs:
                         trial = Trial(trial_id=f"{self.name}_{created:05d}", config=config)
-                        self._open_trial(
-                            trial, suggest_s, fit=fit, batch=0 if k else len(configs)
-                        )
+                        self._open_trial(trial, suggest_s)
                         trials.append(trial)
                         created += 1
                         if self._cache_lookup(trial):

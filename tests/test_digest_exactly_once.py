@@ -3,8 +3,9 @@
 Small seeded campaigns run on each executor under ``obs.enable()``; the
 per-op sample counts of the exported latency profile must equal the counts
 an earlier implementation (which timed every op a second time, next to its
-span) produced for the same campaigns. The campaigns cover retries, a trial
-timeout, an evaluation-cache hit and a batched fit-bearing ask.
+span) produced for the same campaigns, with ``suggest`` one sample per
+trial. The campaigns cover retries, a trial timeout, an evaluation-cache
+hit and a batched fit-bearing ask.
 ``tests/test_metrics_exactly_once.py`` runs the same campaigns against the
 exported metrics. Every campaign also feeds a live status board from the
 span stream, which must count each trial exactly once on every executor.
@@ -197,8 +198,7 @@ class TestDigestsExactlyOnce:
         assert counts == {
             "evaluate": 6,
             "refit": 3,
-            "suggest": 3,
-            "suggest_fit": 3,
+            "suggest": 6,
             "tell": 6,
         }
 
@@ -225,8 +225,7 @@ class TestDigestsExactlyOnce:
             "evaluate": 6,
             "queue_wait": 6,
             "refit": 1,
-            "suggest": 3,
-            "suggest_fit": 1,
+            "suggest": 6,
             "tell": 6,
         }
 

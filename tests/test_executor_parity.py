@@ -163,7 +163,6 @@ def test_timed_out_attempt_posts_no_late_span():
         assert [s.attributes["status"] for s in executes()] == ["timeout"]
         time.sleep(0.6)  # the abandoned attempt has returned by now
         assert [s.attributes["status"] for s in executes()] == ["timeout"]
-        evaluate = tracer.perf.ops().get("evaluate")
-        assert evaluate is None or evaluate.count == 0
+        assert not tracer.perf.ops().get("evaluate")
     finally:
         obs.disable()

@@ -1,4 +1,4 @@
-"""Tests for the mergeable latency digests and the perf recorder."""
+"""Tests for the per-op latency record (exact samples) and the perf recorder."""
 
 import json
 import math
@@ -7,7 +7,8 @@ import random
 import pytest
 
 import repro.observability as obs
-from repro.observability.digest import PERF_PROFILE_FILE, LatencyDigest, PerfRecorder
+from repro.observability.digest import PERF_PROFILE_FILE, PerfRecorder, quantile_of, summarize
+from repro.observability.perf import diff_profiles, load_profile
 from repro.observability.profile import aggregate_costs
 from repro.observability.trace import NoopTracer, RecordingTracer, get_tracer
 
@@ -26,102 +27,67 @@ def _finished(tracer, name, duration_s, **attributes):
 
 
 class TestLatencyDigest:
+    """The per-op latency record: exact samples and the shared quantile helper."""
+
     def test_quantiles_on_uniform(self):
         rng = random.Random(7)
-        digest = LatencyDigest()
+        perf = PerfRecorder()
         for _ in range(20_000):
-            digest.add(rng.uniform(0.0, 1.0))
-        assert digest.count == 20_000
-        assert abs(digest.quantile(0.5) - 0.5) < 0.02
-        assert abs(digest.quantile(0.9) - 0.9) < 0.02
-        assert abs(digest.quantile(0.99) - 0.99) < 0.01
-
-    def test_compression_bounds_memory(self):
-        digest = LatencyDigest(compression=50)
-        for i in range(10_000):
-            digest.add(float(i))
-        small = len(digest.to_dict()["means"])
-        for i in range(10_000, 50_000):
-            digest.add(float(i))
-        big = len(digest.to_dict()["means"])
-        # centroid count is O(compression), independent of observations
-        assert big <= 10 * 50
-        assert big <= small * 1.5 + 10
-        assert digest.count == 50_000
+            perf.record("evaluate", rng.uniform(0.0, 1.0))
+        stats = summarize(perf.ops()["evaluate"])
+        assert stats["count"] == 20_000
+        assert abs(stats["p50"] - 0.5) < 0.02
+        assert abs(stats["p90"] - 0.9) < 0.02
+        assert abs(stats["p99"] - 0.99) < 0.01
 
     def test_min_max_exact(self):
-        digest = LatencyDigest()
+        perf = PerfRecorder()
         for v in (0.5, 0.1, 0.9, 0.3):
-            digest.add(v)
-        assert digest.quantile(0.0) == 0.1
-        assert digest.quantile(1.0) == 0.9
+            perf.record("tell", v)
+        ordered = sorted(perf.ops()["tell"])
+        assert quantile_of(ordered, 0.0) == 0.1
+        assert quantile_of(ordered, 1.0) == 0.9
 
     def test_non_finite_skipped(self):
-        digest = LatencyDigest()
-        digest.add(float("nan"))
-        digest.add(float("inf"))
-        digest.add(1.0)
-        assert digest.count == 1
+        perf = PerfRecorder()
+        perf.record("tell", float("nan"))
+        perf.record("tell", float("inf"))
+        perf.record("tell", 1.0)
+        perf.record("deploy", float("-inf"))
+        assert perf.ops() == {"tell": [1.0]}
 
     def test_empty_quantile_is_nan(self):
-        assert math.isnan(LatencyDigest().quantile(0.5))
+        assert math.isnan(quantile_of([], 0.5))
+        stats = summarize([])
+        assert stats["count"] == 0
+        for key in ("mean", "p50", "p90", "p99"):
+            assert math.isnan(stats[key])
 
-    def test_merge_matches_pooled(self):
-        rng = random.Random(11)
-        pooled = LatencyDigest()
-        left, right = LatencyDigest(), LatencyDigest()
-        for i in range(6000):
-            v = rng.expovariate(10.0)
-            pooled.add(v)
-            (left if i % 2 else right).add(v)
-        left.merge(right)
-        assert left.count == pooled.count
-        for q in (0.5, 0.9, 0.99):
-            assert left.quantile(q) == pytest.approx(pooled.quantile(q), rel=0.1)
-
-    def test_serialization_roundtrip(self):
+    def test_serialization_roundtrip(self, tmp_path):
         rng = random.Random(3)
-        digest = LatencyDigest()
+        perf = PerfRecorder()
         for _ in range(2000):
-            digest.add(rng.uniform(0, 2))
-        clone = LatencyDigest.from_dict(json.loads(json.dumps(digest.to_dict())))
-        assert clone.count == digest.count
-        assert clone.quantile(0.9) == pytest.approx(digest.quantile(0.9))
-
-    def test_samples_reconstruction(self):
-        digest = LatencyDigest()
-        for i in range(1000):
-            digest.add(i / 1000.0)
-        samples = digest.samples(cap=500)
-        assert samples
-        assert min(samples) >= 0.0 and max(samples) <= 1.0
-
-    @pytest.mark.parametrize("n", [20_000, 100_000])
-    def test_samples_respect_the_cap(self, n):
-        """Regression: a one-sample floor per centroid overshot the cap
-        (2262 samples for 100k exponential values at the default cap)."""
-        rng = random.Random(5)
-        digest = LatencyDigest()
-        for _ in range(n):
-            digest.add(rng.expovariate(1.0))
-        samples = digest.samples()
-        assert len(samples) == 2000
-        assert samples == sorted(samples)
-        assert len(digest.samples(cap=500)) == 500
-        # the reconstruction still tracks the distribution
-        assert samples[len(samples) // 2] == pytest.approx(digest.quantile(0.5), rel=0.05)
+            perf.record("tell", rng.uniform(0, 2))
+        perf.export_json(tmp_path / PERF_PROFILE_FILE)
+        loaded = load_profile(tmp_path)["tell"]
+        assert loaded.samples == perf.ops()["tell"]
+        assert loaded.value("p90") == pytest.approx(summarize(perf.ops()["tell"])["p90"])
 
     def test_samples_below_the_cap_keep_every_observation(self):
-        digest = LatencyDigest()
-        for i in range(300):
-            digest.add(float(i))
-        assert len(digest.samples(cap=2000)) == 300
+        """There is no cap: every observation is kept, in recording order."""
+        perf = PerfRecorder()
+        values = [float((7 * i) % 5000) for i in range(5000)]
+        for v in values:
+            perf.record("des_run", v)
+        assert perf.ops()["des_run"] == values
+        assert perf.to_dict()["ops"]["des_run"]["samples"] == values
 
     def test_percentiles_rollup_keys(self):
-        digest = LatencyDigest()
-        digest.add(1.0)
-        stats = digest.percentiles()
-        assert set(stats) >= {"count", "mean", "p50", "p90", "p99"}
+        assert set(summarize([1.0])) == {"count", "mean", "p50", "p90", "p99"}
+        perf = PerfRecorder()
+        perf.record("tell", 1.0)
+        entry = perf.to_dict()["ops"]["tell"]
+        assert set(entry) == {"unit", "count", "samples", "mean", "p50", "p90", "p99"}
 
 
 class TestPerfRecorder:
@@ -130,16 +96,16 @@ class TestPerfRecorder:
         for i in range(100):
             perf.record("suggest", 0.001 * (i + 1))
         assert "suggest" in perf.ops()
-        assert perf.digest("suggest").quantile(0.5) == pytest.approx(0.0505, rel=0.1)
+        assert summarize(perf.ops()["suggest"])["p50"] == pytest.approx(0.0505)
 
     def test_timed_context(self):
         perf = PerfRecorder()
         with perf.timed("deploy"):
             pass
-        assert perf.digest("deploy").count == 1
+        assert len(perf.ops()["deploy"]) == 1
 
     def test_merge_garbage_is_safe(self):
-        """Malformed worker spans are dropped at ingest, never digested."""
+        """Malformed worker spans are dropped at ingest, never recorded."""
         parent = RecordingTracer()
         merged, dropped = parent.ingest(
             [{"name": "execute"}, {"garbage": 1}, {"name": "tell", "span_id": 1}]
@@ -148,7 +114,7 @@ class TestPerfRecorder:
         assert parent.perf.ops() == {}
 
     def test_null_recorder_is_inert(self):
-        """The inert default tracer has no recorder; its spans digest nothing."""
+        """The inert default tracer has no recorder; its spans record nothing."""
         tracer = NoopTracer()
         assert tracer.perf is None
         with tracer.span("execute", status="terminated"):
@@ -169,20 +135,82 @@ class TestPerfRecorder:
         perf.record("suggest", 0.002)
         path = perf.export_json(tmp_path / PERF_PROFILE_FILE)
         data = json.loads(path.read_text())
-        assert data["schema"].startswith("repro.perf_profile/")
+        assert data["schema"] == "repro.perf_profile/2"
         entry = data["ops"]["suggest"]
-        for key in ("count", "mean", "p50", "p90", "p99", "digest"):
+        for key in ("unit", "count", "samples", "mean", "p50", "p90", "p99"):
             assert key in entry
+        assert "windows" not in data
         prom = perf.render_prometheus()
         assert 'repro_latency_seconds{op="suggest",quantile="0.5"}' in prom
+        assert 'repro_latency_seconds_count{op="suggest"} 1' in prom
         assert "summary" in prom
 
+
+class TestPerfProfileRecord:
+    """``perf_profile.json`` is the benchmarks' ops block plus its rollup."""
+
+    def test_entries_carry_raw_samples_and_the_helper_rollup(self, tmp_path):
+        rng = random.Random(17)
+        perf = PerfRecorder()
+        for _ in range(37):
+            perf.record("suggest", rng.expovariate(200.0))
+            perf.record("tell", rng.uniform(0.001, 0.002))
+        perf.export_json(tmp_path / PERF_PROFILE_FILE)
+        ops = json.loads((tmp_path / PERF_PROFILE_FILE).read_text())["ops"]
+        for op, samples in perf.ops().items():
+            entry = ops[op]
+            assert entry["unit"] == "s"
+            assert entry["samples"] == samples
+            assert entry["count"] == len(samples) == 37
+            ordered = sorted(samples)
+            assert entry["mean"] == pytest.approx(math.fsum(samples) / len(samples))
+            for key, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+                assert entry[key] == quantile_of(ordered, q)
+
+    def test_schema_1_profile_with_a_digest_loads_as_a_rollup(self, tmp_path):
+        profile = tmp_path / PERF_PROFILE_FILE
+        profile.write_text(json.dumps({
+            "schema": "repro.perf_profile/1",
+            "window_s": 30.0,
+            "ops": {
+                "suggest": {
+                    "count": 3.0, "mean": 0.02, "p50": 0.02, "p90": 0.028, "p99": 0.0298,
+                    "sum": 0.06,
+                    "digest": {
+                        "compression": 100, "count": 3, "sum": 0.06, "min": 0.01,
+                        "max": 0.03, "means": [0.01, 0.02, 0.03], "weights": [1, 1, 1],
+                    },
+                },
+            },
+            "windows": [],
+        }))
+        stats = load_profile(tmp_path)["suggest"]
+        assert stats.samples is None
+        assert stats.count == 3.0
+        assert stats.value("p90") == pytest.approx(0.028)
+        assert diff_profiles(tmp_path, tmp_path).ok
+
+    def test_drained_worker_tracer_holds_no_samples(self):
+        """A long-lived worker drains after every trial; the parent
+        re-derives the samples from the shipped spans."""
+        worker = RecordingTracer()
+        parent = RecordingTracer()
+        for _ in range(50):
+            _finished(worker, "des_run", 0.002)
+            _finished(worker, "execute", 0.004, status="terminated")
+            parent.ingest([span.to_dict() for span in worker.drain()])
+            assert worker.perf.ops() == {}
+        assert worker.finished() == []
+        assert {op: len(s) for op, s in parent.perf.ops().items()} == {
+            "des_run": 50,
+            "evaluate": 50,
+        }
 
 
 class TestSpanDerivedDigests:
     def test_each_mapped_span_is_one_sample(self):
         tracer = RecordingTracer()
-        _finished(tracer, "suggest", 0.004, fit=False, batch=1)
+        _finished(tracer, "suggest", 0.004)
         _finished(tracer, "queue-wait", 0.002)
         _finished(tracer, "execute", 0.5, status="terminated")
         _finished(tracer, "execute", 0.0, status="terminated", cache_hit=True)
@@ -190,14 +218,14 @@ class TestSpanDerivedDigests:
         _finished(tracer, "tell", 0.01)
         _finished(tracer, "refit", 0.2, n_obs=4)
         _finished(tracer, "cycle:deploy", 0.05)
-        _finished(tracer, "cycle:execute", 0.6)  # not a digest op
+        _finished(tracer, "cycle:execute", 0.6)  # not a latency op
         _finished(tracer, "cycle:reconfigure", 0.05)
         with tracer.span("evalcache_lookup"):
             pass
         with tracer.span("des_run"):
             pass
-        counts = {op: d.count for op, d in tracer.perf.ops().items()}
-        assert counts == {
+        ops = tracer.perf.ops()
+        assert {op: len(samples) for op, samples in ops.items()} == {
             "suggest": 1,
             "queue_wait": 1,
             "evaluate": 1,
@@ -208,55 +236,42 @@ class TestSpanDerivedDigests:
             "evalcache_lookup": 1,
             "des_run": 1,
         }
-        assert tracer.perf.digest("evaluate").sum == pytest.approx(0.5)
-        assert tracer.perf.digest("suggest").sum == pytest.approx(0.004)
+        assert ops["evaluate"] == [pytest.approx(0.5)]
+        assert ops["suggest"] == [pytest.approx(0.004)]
 
     def test_fit_bearing_ask_is_one_whole_sample(self):
-        """A batched ask that blocked on a fit: three per-candidate suggest
-        spans, one ``suggest_fit`` sample covering the whole ask."""
+        """A batched ask that blocked on a fit is recorded whole in
+        ``suggest``: one sample per trial (its share), summing to the ask."""
         tracer = RecordingTracer()
-        for batch in (3, 0, 0):
-            _finished(tracer, "suggest", 0.1, fit=True, batch=batch)
+        for _ in range(3):
+            _finished(tracer, "suggest", 0.1)
         ops = tracer.perf.ops()
-        assert "suggest" not in ops
-        assert ops["suggest_fit"].count == 1
-        assert ops["suggest_fit"].sum == pytest.approx(0.3)
+        assert set(ops) == {"suggest"}
+        assert ops["suggest"] == [pytest.approx(0.1)] * 3
+        assert math.fsum(ops["suggest"]) == pytest.approx(0.3)
 
     def test_percentiles_from_spans(self):
         tracer = RecordingTracer()
         for i in range(100):
             _finished(tracer, "tell", 0.001 * (i + 1))
-        stats = tracer.perf.digest("tell").percentiles()
+        stats = summarize(tracer.perf.ops()["tell"])
         assert stats["count"] == 100
-        assert stats["p50"] == pytest.approx(0.0505, rel=0.1)
-        assert stats["p90"] == pytest.approx(0.0905, rel=0.1)
-        assert stats["p99"] == pytest.approx(0.0995, rel=0.05)
+        assert stats["p50"] == pytest.approx(0.0505)
+        assert stats["p90"] == pytest.approx(0.0901)
+        assert stats["p99"] == pytest.approx(0.09901)
 
     def test_ingested_worker_spans_digest_once_in_parent_windows(self):
+        """A worker's span is recorded once, in the parent, as it merges."""
         worker = RecordingTracer()
         _finished(worker, "execute", 0.25, status="terminated")
         parent = RecordingTracer()
-        # the worker's epoch is 100 s after the parent's: with 30 s windows
-        # the sample lands in the window of the span's rebased end (3).
         merged, dropped = parent.ingest(
             [span.to_dict() for span in worker.drain()],
             epoch_unix=parent.started_at + 100.0,
         )
         assert (merged, dropped) == (1, 0)
-        assert parent.perf.digest("evaluate").count == 1
-        windows = parent.perf.to_dict()["windows"]
-        assert [w["index"] for w in windows] == [3]
-        assert windows[0]["ops"]["evaluate"]["count"] == 1
-
-    def test_window_series_follows_span_end(self):
-        tracer = RecordingTracer()
-        tracer.perf.window_s = 1.0
-        for end in (0.5, 0.7, 2.5):
-            span = tracer.start_span("tell", start=end - 0.1)
-            tracer.end_span(span, end=end)
-        windows = tracer.perf.to_dict()["windows"]
-        assert [(w["index"], w["ops"]["tell"]["count"]) for w in windows] == [(0, 2), (2, 1)]
-
+        assert parent.perf.ops() == {"evaluate": [pytest.approx(0.25)]}
+        assert worker.perf.ops() == {}
 
 
 class TestAggregateCostsHardening:

@@ -2,17 +2,20 @@
 
 The gate must diff clean on identical runs, fail on an injected 2x
 suggest-latency regression, and read the one source shape it accepts: an
-``ops`` block of digests (perf_profile.json, run directories) or raw
-samples (e2ebench and BENCH_*.json records).
+``ops`` block of raw samples (perf_profile.json, run directories,
+e2ebench and BENCH_*.json records) or, for old profiles, rollups alone.
 """
 
 import json
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+import repro.observability as obs
+from repro.bayesopt import Integer, Space
 from repro.cli import main
 from repro.errors import ValidationError
 from repro.observability.digest import PERF_PROFILE_FILE, PerfRecorder
@@ -22,6 +25,7 @@ from repro.observability.perf import (
     load_profile,
     record_baseline,
 )
+from repro.search import SurrogateSearch, TrialRunner
 
 BASELINES = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
 
@@ -56,7 +60,8 @@ class TestLoadProfile:
         by_dir = load_profile(run_dir)
         by_file = load_profile(run_dir / PERF_PROFILE_FILE)
         assert set(by_dir) == set(by_file) == {"suggest", "tell"}
-        assert by_dir["suggest"].digest is not None
+        # a run directory carries the raw samples, like a bench record
+        assert len(by_dir["suggest"].samples) == 200
         assert math.isfinite(by_dir["suggest"].value("p90"))
 
     def test_loads_e2ebench_record(self, tmp_path):
@@ -247,7 +252,7 @@ class TestRecordBaseline:
         data = json.loads(out.read_text())
         assert data["schema"] == BASELINE_SCHEMA
         ops = load_profile(out)
-        assert ops["suggest"].digest is not None
+        assert ops["suggest"].samples == load_profile(run_dir)["suggest"].samples
         # recorded baseline diffs clean against its own source
         assert diff_profiles(out, run_dir).ok
 
@@ -354,3 +359,46 @@ class TestPerfCli:
             == 0
         )
         capsys.readouterr()
+
+
+class TestRunDirectoryAgainstItsBenchRecord:
+    """A run directory and a bench record of the same run are one ops block."""
+
+    @staticmethod
+    def _ops_block(trials):
+        """The ops block a benchmark builds from trial costs (as e2ebench does)."""
+        ops = {}
+        for key in ("suggest_s", "evaluate_s", "tell_s"):
+            values = [t.cost[key] for t in trials if key in t.cost]
+            if values:
+                ops[key[: -len("_s")]] = values
+        return {op: {"unit": "s", "count": len(v), "samples": v} for op, v in ops.items()}
+
+    def test_traced_sync_campaign_diffs_clean_against_its_trial_costs(self, tmp_path):
+        def trainable(config):
+            time.sleep(0.002)
+            return {"loss": float((config["a"] - 21) ** 2 + (config["b"] - 4) ** 2)}
+
+        space = Space([Integer(0, 30, name="a"), Integer(0, 10, name="b")])
+        # ET after three initial points: every later ask blocks on a fit.
+        search = SurrogateSearch(space, base_estimator="ET", n_initial_points=3, random_state=0)
+        runner = TrialRunner(trainable, search, metric="loss", num_samples=10, name="parity")
+        run_dir = tmp_path / "run"
+        obs.enable()
+        try:
+            analysis = runner.run()
+            obs.export(run_dir)
+        finally:
+            obs.disable()
+        trials = analysis.trials
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({"ops": self._ops_block(trials)}))
+        run_ops = load_profile(run_dir)
+        bench_ops = load_profile(bench)
+        for op, key in (("suggest", "suggest_s"), ("tell", "tell_s")):
+            assert run_ops[op].samples == pytest.approx([t.cost[key] for t in trials])
+        for op in ("suggest", "evaluate", "tell"):
+            assert run_ops[op].count == bench_ops[op].count == len(trials)
+        diff = diff_profiles(run_ops, bench_ops, threshold=0.05, stats=("p50", "p90", "mean"))
+        assert {row["op"] for row in diff.rows} == {"suggest", "evaluate", "tell"}
+        assert diff.regressions == [], diff.render()

@@ -90,7 +90,7 @@ class TestSpanIngest:
         assert tracer.metrics.counter("repro_evaluations_total").value() == 1
         evaluation = tracer.metrics.histogram("repro_evaluation_seconds").snapshot()
         assert (evaluation["count"], evaluation["sum"]) == (1, 0.25)
-        assert {op: d.count for op, d in tracer.perf.ops().items()} == {
+        assert {op: len(s) for op, s in tracer.perf.ops().items()} == {
             "des_run": 1,
             "reconfigure": 1,
         }
@@ -208,11 +208,11 @@ class TestProcessExecutorEndToEnd:
             # worker-measured costs landed on the trials
             for trial in analysis.trials:
                 assert trial.cost["evaluate_s"] <= trial.runtime_s + 1e-9
-            # digests: one sample per trial and op, each from one span
-            perf = tracer.perf
-            assert perf.digest("suggest").count == 4
-            assert perf.digest("evaluate").count == 4
-            assert perf.digest("queue_wait").count == 4
+            # latency samples: one per trial and op, each from one span
+            ops = tracer.perf.ops()
+            assert len(ops["suggest"]) == 4
+            assert len(ops["evaluate"]) == 4
+            assert len(ops["queue_wait"]) == 4
             # merge accounting
             merged = registry.counter(
                 "repro_fabric_merged_spans_total",
