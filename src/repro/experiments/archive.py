@@ -87,7 +87,8 @@ class ExperimentArchive:
         """Persist the finished-trial state for ``--resume``.
 
         The full list is rewritten each time (trial records are small JSON
-        dicts) through an atomic temp-file + ``os.replace`` write, so a
+        dicts), compact so ``json``'s C encoder serializes it, through an
+        atomic temp-file + ``os.replace`` write, so a
         crash — even a SIGKILL — mid-checkpoint leaves either the previous
         complete state or the new one on disk, never a truncated JSON.
         When a live watchdog is armed, its control state (fired alert keys,
@@ -102,7 +103,7 @@ class ExperimentArchive:
             payload["watchdog"] = watchdog_state
         if searcher_state is not None:
             payload["searcher"] = searcher_state
-        return dump_json(payload, self.root / "checkpoint.json", atomic=True)
+        return dump_json(payload, self.root / "checkpoint.json", indent=None, atomic=True)
 
     def _read_checkpoint(self) -> dict[str, Any] | None:
         """The checkpoint document, or ``None`` when missing or unreadable.

@@ -45,7 +45,6 @@ class LoopStats:
         "sim_start",
         "first_event_time",
         "last_event_time",
-        "_wall_start",
     )
 
     def __init__(self, sim_start: float = 0.0) -> None:
@@ -59,7 +58,6 @@ class LoopStats:
         #: warm-up/drain idle time from actual event processing.
         self.first_event_time: Optional[float] = None
         self.last_event_time: Optional[float] = None
-        self._wall_start: Optional[float] = None
 
     def snapshot(self, now: float) -> dict[str, float]:
         """Current stats plus the simulated-vs-wall speed ratio."""
@@ -103,7 +101,7 @@ class Environment:
         return self._stats
 
     def enable_stats(self) -> LoopStats:
-        """Start collecting event-loop statistics (one branch per event)."""
+        """Start collecting event-loop statistics (derived by the run loop)."""
         if self._stats is None:
             self._stats = LoopStats(sim_start=self._now)
         return self._stats
@@ -216,12 +214,12 @@ class Environment:
         """Drain the heap until empty or :class:`StopSimulation`.
 
         Hot attributes (heap, pop, slim pool) are aliased to locals so the
-        dominant pop→pump→recycle cycle does no repeated attribute lookups.
-        When neither stats nor a wall deadline is active, the per-event
-        bookkeeping disappears entirely, the carrier pump is inlined and
-        an immediate grant resumes its process in place (DESIGN §9);
-        otherwise stats are accumulated in locals and flushed once after
-        the loop, and each event goes through :meth:`_dispatch`.
+        dominant pop→pump→recycle cycle does no repeated attribute lookups;
+        the carrier pump is inlined and an immediate grant resumes its
+        process in place (DESIGN §9). Every heap push takes one event id and
+        only pops remove entries, so stats derive the events popped from
+        ``Δ(_eid − len(_queue))``; the heap depth and the wall deadline are
+        checked before each pop and in-place grant, only when either is on.
         """
         queue = self._queue
         pop = heapq.heappop
@@ -230,9 +228,20 @@ class Environment:
         stats = self._stats
         slim = SlimDelay
         request = Request
+        checking = stats is not None or wall_deadline is not None
+        perf_counter = time.perf_counter
+        wall_start = perf_counter()
+        max_depth = 0
+        popped_before = self._eid - len(queue)
+        first_time = queue[0][0] if queue else None
 
-        if stats is None and wall_deadline is None:
+        try:
             while queue:
+                if checking:
+                    if len(queue) > max_depth:
+                        max_depth = len(queue)
+                    if wall_deadline is not None and perf_counter() > wall_deadline:
+                        raise self._over_budget(wall_timeout_s)
                 self._now, _, _, event = pop(queue)
                 kind = type(event)
                 if kind is slim:
@@ -310,6 +319,13 @@ class Environment:
                         ):
                             # The in-place grant: still pushed and popped
                             # (at the current time, so the clock stays).
+                            # A process that keeps taking free claims never
+                            # leaves this pump, so the checks run here too.
+                            if checking:
+                                if len(queue) > max_depth:
+                                    max_depth = len(queue)
+                                if wall_deadline is not None and perf_counter() > wall_deadline:
+                                    raise self._over_budget(wall_timeout_s)
                             pop(queue)
                             next_event.callbacks = None
                             process._target = next_event
@@ -338,44 +354,30 @@ class Environment:
                 # and specializes its bytecode, only at a JUMP_BACKWARD; the
                 # `while` test's own jump at the end of the body does not.
                 continue
-            return
-
-        events_processed = 0
-        max_depth = 0
-        first_time: Optional[float] = None
-        last_time = 0.0
-        perf_counter = time.perf_counter
-        dispatch = self._dispatch
-        try:
-            while queue:
-                depth = len(queue)
-                self._now, _, _, event = pop(queue)
-                events_processed += 1
-                if first_time is None:
-                    first_time = self._now
-                last_time = self._now
-                if depth > max_depth:
-                    max_depth = depth
-                dispatch(event)
-                if wall_deadline is not None and perf_counter() > wall_deadline:
-                    raise WallClockTimeout(
-                        f"simulation exceeded its wall-clock budget of "
-                        f"{wall_timeout_s}s (sim time {self._now})"
-                    )
-                continue  # the explicit back edge, as in the loop above
         finally:
-            if stats is not None and events_processed:
-                stats.events_processed += events_processed
-                if stats.first_event_time is None:
-                    stats.first_event_time = first_time
-                stats.last_event_time = last_time
-                if max_depth > stats.max_queue_depth:
-                    stats.max_queue_depth = max_depth
+            if stats is not None:
+                stats.wall_s += perf_counter() - wall_start
+                popped = self._eid - len(queue) - popped_before
+                if popped:
+                    stats.events_processed += popped
+                    if stats.first_event_time is None:
+                        stats.first_event_time = first_time
+                    stats.last_event_time = self._now
+                    if max_depth > stats.max_queue_depth:
+                        stats.max_queue_depth = max_depth
+
+    def _over_budget(self, wall_timeout_s: float | None) -> WallClockTimeout:
+        """The error that cuts off a run past its wall-clock budget."""
+        self._active_process = None
+        return WallClockTimeout(
+            f"simulation exceeded its wall-clock budget of "
+            f"{wall_timeout_s}s (sim time {self._now})"
+        )
 
     def _dispatch(self, event: Event) -> None:
-        """Process one popped event (the stats loop and :meth:`step`).
+        """Process one popped event for :meth:`step`.
 
-        The protocol of the uninstrumented loop's inlined pump: a SlimDelay
+        The protocol of the run loop's inlined pump: a SlimDelay
         resumes its process, or is a cancelled wait, and goes back to the
         pool; a carried claim resumes its process first and then runs any
         callbacks added after the process subscribed; any other event runs
@@ -468,15 +470,11 @@ class Environment:
 
         from repro.observability.trace import get_tracer
 
-        wall_start = time.perf_counter() if self._stats is not None else 0.0
         with get_tracer().span("des_run"):
             try:
                 self._run_loop(wall_deadline, wall_timeout_s)
             except StopSimulation as signal:
                 return signal.args[0] if signal.args else None
-            finally:
-                if self._stats is not None:
-                    self._stats.wall_s += time.perf_counter() - wall_start
 
         if stop is not None and isinstance(until, Event) and not stop.triggered:
             raise SimulationError(

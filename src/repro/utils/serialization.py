@@ -96,7 +96,9 @@ def config_hash(obj: Any, *extra: Any) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def dump_json(obj: Any, path: str | Path, *, indent: int = 2, atomic: bool = False) -> Path:
+def dump_json(
+    obj: Any, path: str | Path, *, indent: int | None = 2, atomic: bool = False
+) -> Path:
     """Serialize ``obj`` to ``path`` as JSON; returns the path.
 
     With ``atomic=True`` the document is written to a temporary file in the
@@ -105,6 +107,8 @@ def dump_json(obj: Any, path: str | Path, *, indent: int = 2, atomic: bool = Fal
     process resuming after a crash mid-write — can then only ever observe
     the previous complete document or the new one, never a truncated JSON.
     Checkpoints (``checkpoint.json``) and perf profiles are written this way.
+    ``indent=None`` writes one compact line through ``json``'s C encoder,
+    which an indented document cannot use.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -31,6 +31,7 @@ from repro.engine import (
     simulate_hybrid,
 )
 from repro.engine.calibration import PRELIMINARY_OPTIMUM, REFINED_OPTIMUM
+from repro.simcore import Environment
 
 CONFIGS = {
     "baseline": BASELINE_CONFIG,
@@ -131,6 +132,19 @@ def run_engine(case: str, *, timeouts: bool = False, stats: bool = False) -> dic
     )
 
 
+def _run_by_steps(env, until: float) -> None:
+    """``env.run(until=until)`` driven by ``env.step()``, the reference path.
+
+    It pushes the same ``(until, -1)`` stop entry ``run()`` does, so both
+    pop the same events, the stop event included.
+    """
+    stop = env.event()
+    stop._ok = True
+    env.schedule(stop, priority=-1, delay=until - env.now)
+    while not stop.processed:
+        env.step()
+
+
 def run_workload(
     config: ThreadPoolConfig,
     workload: WorkloadSpec,
@@ -139,18 +153,33 @@ def run_workload(
     trace: bool = False,
     timeouts: bool = False,
     stats: bool = False,
+    stepped: bool = False,
+    loop: bool = False,
 ) -> dict:
-    """Fingerprint of one engine run (see :func:`run_engine` for the flags)."""
+    """Fingerprint of one engine run (see :func:`run_engine` for the flags).
+
+    ``stepped`` drives the run through :func:`_run_by_steps`; ``loop``
+    (with ``stats``) adds the loop's first/last event time and heap depth.
+    """
     engine = IdentificationEngine(config, workload, seed=seed, trace=trace)
+    env = engine.env
     if timeouts:
-        env = engine.env
         process = env.process
         env.process = lambda gen, name=None: process(_timeout_lane(env, gen), name=name)
+    if stepped:
+        env.run = lambda until: _run_by_steps(env, until)
     if stats:
-        engine.env.enable_stats()
+        env.enable_stats()
     out = fingerprint(engine.run())
     if stats:
-        out["events"] = engine.env.stats.events_processed
+        out["events"] = env.stats.events_processed
+    if loop:
+        loop_stats = env.stats
+        out["loop"] = (
+            loop_stats.first_event_time,
+            loop_stats.last_event_time,
+            loop_stats.max_queue_depth,
+        )
     return out
 
 
@@ -522,7 +551,7 @@ def test_engine_matches_golden(case):
 
 @pytest.mark.parametrize("case", ENGINE_CASES)
 def test_uninstrumented_loop_matches_golden(case):
-    """The stats-free run loop takes its own fast path; it must agree too."""
+    """Without stats the run loop skips its per-event checks; it must agree too."""
     assert run_engine(case) == _without_events(case)
 
 
@@ -556,18 +585,33 @@ def _random_workload(mode: str, load: int) -> WorkloadSpec:
 )
 @settings(max_examples=12, deadline=None)
 def test_loops_and_lanes_agree_on_random_runs(pools, mode, load, seed):
-    """Uninstrumented loop, stats loop and Timeout lane: one run, event for event.
+    """``step()``, ``run()`` with and without stats, Timeout lane: one run.
 
     Small random pools make claims queue, so queued and in-place grants,
-    carried claims and process starts all mix with plain delays.
+    carried claims and process starts all mix with plain delays. The
+    stepped run counts its statistics event by event; ``run()`` derives
+    them from the event-id counter, and they must agree exactly.
     """
     config = ThreadPoolConfig(*pools)
     workload = _random_workload(mode, load)
-    stats = run_workload(config, workload, seed=seed, stats=True)
-    lane = run_workload(config, workload, seed=seed, stats=True, timeouts=True)
+    stepped = run_workload(config, workload, seed=seed, stats=True, loop=True, stepped=True)
+    derived = run_workload(config, workload, seed=seed, stats=True, loop=True)
+    lane = run_workload(config, workload, seed=seed, stats=True, loop=True, timeouts=True)
     plain = run_workload(config, workload, seed=seed)
-    assert lane == stats
-    assert plain == {k: v for k, v in stats.items() if k != "events"}
+    assert derived == stepped
+    assert lane == stepped
+    assert plain == {k: v for k, v in derived.items() if k not in ("events", "loop")}
+
+
+def test_stats_run_takes_the_inlined_pump(monkeypatch):
+    """Loop statistics leave ``run()`` on its one loop: no event goes
+    through ``Environment._dispatch``, the reference path of ``step()``."""
+
+    def dispatch(self, event):
+        raise AssertionError(f"run() dispatched {event!r} through _dispatch")
+
+    monkeypatch.setattr(Environment, "_dispatch", dispatch)
+    assert run_engine("closed:baseline", stats=True) == GOLDEN["closed:baseline"]
 
 
 def test_hybrid_matches_golden():

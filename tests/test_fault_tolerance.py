@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.optimizer import OptimizationManager, OptimizerConf
 from repro.search import RandomSearch, TrialRunner, TrialStatus
 from repro.search.schedulers import TrialDecision, TrialScheduler
 from repro.search.trial import Trial
-from repro.simcore import Environment
+from repro.simcore import Environment, Resource
 from repro.testbed import grid5000
 
 
@@ -429,6 +430,36 @@ class TestCheckpointResume:
         )
         assert uninterrupted.run().summary.n_evaluations == 10
 
+    def test_pretty_printed_checkpoint_still_resumes(self, tmp_path):
+        """Checkpoints are written as one compact line; an indented one
+        (the earlier format) still loads and resumes."""
+        calls = {"n": 0}
+
+        def evaluator(config, seed=None, duration=None):
+            calls["n"] += 1
+            return {"latency": float(config["x"])}
+
+        first = OptimizationManager(
+            OptimizerConf.from_dict(_conf_dict(tmp_path, num_samples=6)),
+            evaluator=evaluator,
+        )
+        first.run()
+        path = first.run_dir / "checkpoint.json"
+        compact = path.read_text()
+        assert "\n" not in compact
+        path.write_text(json.dumps(json.loads(compact), indent=2, sort_keys=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no fallback to the trial ledger
+            assert len(first.optimization.archive.load_checkpoint()) == 6
+
+        second = OptimizationManager(
+            OptimizerConf.from_dict(_conf_dict(tmp_path, num_samples=10)),
+            evaluator=evaluator,
+            resume_from=first.run_dir,
+        )
+        assert second.run().summary.n_evaluations == 10
+        assert calls["n"] == 10
+
     def test_checkpoint_contents_round_trip(self, tmp_path):
         conf = OptimizerConf.from_dict(_conf_dict(tmp_path, num_samples=3))
         manager = OptimizationManager(
@@ -485,6 +516,29 @@ class TestWallClockTimeout:
         env.process(runaway(env))
         with pytest.raises(WallClockTimeout):
             env.run(wall_timeout_s=0.05)
+
+    def test_zero_time_claim_spin_is_cut_off(self):
+        """A process re-taking a free claim at one instant never leaves the
+        run loop's in-place grant pump; the deadline must still fire there."""
+        env = Environment()
+        pool = Resource(env, capacity=1)
+        bound = 2_000_000
+
+        def spin(env):
+            # Bounded (~2 µs per grant), so a missing check fails the test
+            # after a few seconds instead of hanging the suite.
+            for _ in range(bound):
+                req = pool.request()
+                yield req
+                pool.release(req)
+
+        env.process(spin(env))
+        env.timeout(1.0)
+        with pytest.raises(WallClockTimeout):
+            env.run(wall_timeout_s=0.05)
+        # Cut off inside the spin, not at the next pop after it ended.
+        assert pool.stats.grants < bound
+        assert env.now == 0.0
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):

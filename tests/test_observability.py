@@ -241,6 +241,42 @@ class TestLoopStats:
         assert snap["wall_s"] >= 0.0
         assert "sim_wall_ratio" in snap
 
+    @staticmethod
+    def _deepest_at_an_in_place_grant(env):
+        """The heap is deepest (4) only when run() grants a claim in place."""
+        pool = simcore.Resource(env, capacity=1)
+
+        def proc():
+            for _ in range(3):
+                env.timeout(10.0)
+            req = pool.request()
+            yield req
+            pool.release(req)
+            yield env.event()  # parked: no completion event is pushed
+
+        env.process(proc())
+
+    def test_run_derives_what_step_counts(self):
+        fields = []
+        for stepped in (True, False):
+            env = simcore.Environment()
+            stats = env.enable_stats()
+            self._deepest_at_an_in_place_grant(env)
+            if stepped:
+                while env.peek() < float("inf"):
+                    env.step()
+            else:
+                env.run()
+            fields.append(
+                (
+                    stats.events_processed,
+                    stats.first_event_time,
+                    stats.last_event_time,
+                    stats.max_queue_depth,
+                )
+            )
+        assert fields[0] == fields[1] == (5, 0.0, 10.0, 4)
+
 
 class TestCollectorBridge:
     def _env_with_collector(self, **kwargs):

@@ -156,8 +156,9 @@ class TestFastForward:
 class TestRejectedRawDelay:
     """A process yielding an invalid raw delay leaves no active process.
 
-    Both run loops raise ``ValueError``; neither may leave
-    ``env.active_process`` pointing at the process that yielded it.
+    With and without loop statistics the run loop raises ``ValueError``;
+    it may not leave ``env.active_process`` pointing at the process that
+    yielded it.
     """
 
     @pytest.mark.parametrize("stats", [False, True], ids=["fast-loop", "stats-loop"])

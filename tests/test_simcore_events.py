@@ -296,8 +296,8 @@ class TestProcessStart:
     """A new process's first resume rides a pooled carrier at (now, URGENT).
 
     The expected logs were captured from the dedicated start-event
-    implementation the carrier replaced; both run loops must reproduce
-    them, event count included.
+    implementation the carrier replaced; the run loop must reproduce them
+    with and without loop statistics, event count included.
     """
 
     @pytest.mark.parametrize("instrumented", [False, True], ids=["fast-loop", "stats-loop"])

@@ -270,7 +270,7 @@ class TestContainer:
 
 @pytest.fixture(params=[False, True], ids=["fast-loop", "stats-loop"])
 def make_env(request):
-    """An environment running the uninstrumented loop or the stats loop."""
+    """An environment without or with loop statistics (one run loop either way)."""
 
     def make():
         env = simcore.Environment()
@@ -285,7 +285,8 @@ class TestCarriedClaims:
     """A granted claim resumes the process that yielded it without a callback.
 
     The expected logs were captured from the callback-list implementation
-    the carrier protocol replaced; both run loops must reproduce them.
+    the carrier protocol replaced; the run loop must reproduce them with
+    and without loop statistics.
     """
 
     def test_interrupt_while_in_place_grant_is_on_heap(self, make_env):
@@ -532,7 +533,7 @@ class TestRelease:
         assert pool.users == [] and pool.queue_length == 0
 
 
-# -- in-place grants: the uninstrumented loop against the stats loop ---------
+# -- in-place grants: run() against step() -----------------------------------
 
 _HOLD = st.sampled_from([0, 0.5, 1, 1.5])
 _OPS = st.one_of(
@@ -558,11 +559,15 @@ _SCRIPTS = st.lists(st.lists(_OPS, min_size=1, max_size=6), min_size=1, max_size
 _INTERRUPTS = st.lists(st.tuples(st.sampled_from([0, 0.5, 1, 2]), st.integers(0, 4)), max_size=3)
 
 
-def _run_script(stats, scripts, interrupts, capacities):
-    """Run the process ``scripts``; returns the ``(time, process, step, ...)`` trace."""
+def _run_script(driver, scripts, interrupts, capacities):
+    """Run the process ``scripts``; returns the ``(time, process, step, ...)`` trace.
+
+    ``driver`` is ``"step"`` (``env.step()`` until the heap is empty),
+    ``"stats"`` (``env.run()`` with loop statistics) or ``"run"``; the
+    first two also return the loop statistics.
+    """
     env = simcore.Environment()
-    if stats:
-        env.enable_stats()
+    stats = env.enable_stats() if driver != "run" else None
     pools = [
         simcore.Resource(env, capacities[0], name="fifo"),
         simcore.PriorityResource(env, capacities[1], name="prio"),
@@ -629,21 +634,31 @@ def _run_script(stats, scripts, interrupts, capacities):
 
     targets = [env.process(worker(f"w{i}", ops), name=f"w{i}") for i, ops in enumerate(scripts)]
     env.process(interrupter(targets), name="interrupter")
-    env.run()
+    if driver == "step":
+        while env.peek() < float("inf"):
+            env.step()
+    else:
+        env.run()
     ends = [
         (p.stats.grants, p.stats.releases, p.stats.busy_integral, p.stats.queue_integral,
          p.stats.wait_times.count, p.stats.wait_times.mean if p.stats.wait_times.count else None)
         for p in pools
     ]
+    if stats is not None:
+        ends.append(
+            (stats.events_processed, stats.first_event_time, stats.last_event_time,
+             stats.max_queue_depth)
+        )
     return log, env.now, ends
 
 
 class TestInPlaceGrantDifferential:
-    """The uninstrumented loop pops an immediate grant and resumes in place.
+    """``run()`` pops an immediate grant and resumes in place.
 
     Random process scripts on a FIFO and a priority pool must give the
-    same trace as the stats loop, which dispatches every heap entry
-    through the general path: claims yielded after other events were
+    same trace, and ``run()`` must derive the same loop statistics, as
+    ``step()``, which dispatches every heap entry through the general
+    path and counts each: claims yielded after other events were
     pushed, claims yielded again once processed (also with an empty
     heap), callbacks added before the yield, two waiters on one claim and
     interrupts while queued.
@@ -655,10 +670,11 @@ class TestInPlaceGrantDifferential:
         interrupts=_INTERRUPTS,
         capacities=st.tuples(st.integers(1, 3), st.integers(1, 3)),
     )
-    def test_fast_loop_matches_stats_loop(self, scripts, interrupts, capacities):
-        fast = _run_script(False, scripts, interrupts, capacities)
-        slow = _run_script(True, scripts, interrupts, capacities)
-        assert fast == slow
+    def test_run_matches_step(self, scripts, interrupts, capacities):
+        stepped = _run_script("step", scripts, interrupts, capacities)
+        assert _run_script("stats", scripts, interrupts, capacities) == stepped
+        log, now, ends = stepped
+        assert _run_script("run", scripts, interrupts, capacities) == (log, now, ends[:-1])
 
     def test_claim_yielded_again_on_an_empty_heap(self):
         for stats in (False, True):
